@@ -11,11 +11,9 @@ from .aggregation import (
     GroupDivision,
     aggregate_direct,
     aggregate_fsa,
-    aggregate_group,
     aggregate_stepped,
     division_preset,
     load_division,
-    make_group_masks,
     resolve_division,
     step_offsets,
 )
@@ -48,7 +46,6 @@ from .geometry import (
     compose,
     invert,
     relative_pose,
-    transform_labeled,
     transform_points,
 )
 from .imaging import (

@@ -6,15 +6,23 @@ after the unfiltered present sweep. A group division assigns every semantic
 class a sampling step; a group with step s contributes the frames
 ``t - i*s`` for i = 1..floor(window / s), and the infinite step contributes
 nothing (the class is covered by the present sweep alone).
+
+Direct, stepped and flexible-step aggregation share one frame loop. A
+lookup table over the 16-bit label field gives every point the step of its
+class's group (unmapped classes take the division's default step, near
+points of a distance-split group the near step), and a point at offset k is
+kept when its step divides k. Only kept rows are moved. Rows come out in a
+fixed order: the present sweep, then past sweeps by ascending offset, each
+in its source order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -26,6 +34,9 @@ from .sequence import SequenceFrame
 INFINITE_STEP = math.inf
 
 DEFAULT_WINDOW = 16
+
+# Semantic ids live in the low 16 bits of a SemanticKITTI label record.
+LABEL_FIELD_SIZE = 1 << 16
 
 
 def _check_step(step) -> float:
@@ -65,6 +76,11 @@ class ClassGroup:
         object.__setattr__(self, "classes", frozenset(int(c) for c in self.classes))
         if not self.classes:
             raise ConfigurationError("a class group cannot be empty")
+        outside = sorted(c for c in self.classes if not 0 <= c < LABEL_FIELD_SIZE)
+        if outside:
+            raise ConfigurationError(
+                f"class ids {outside} lie outside the label field [0, {LABEL_FIELD_SIZE - 1}]"
+            )
         object.__setattr__(self, "step", _check_step(self.step))
         if self.distance_split is not None and self.step == INFINITE_STEP:
             raise ConfigurationError("a distance split on an infinite step has no effect")
@@ -106,27 +122,8 @@ class GroupDivision:
                     )
                 seen[cid] = gi
 
-    def mapped_classes(self) -> frozenset[int]:
-        out: set[int] = set()
-        for group in self.groups:
-            out |= group.classes
-        return frozenset(out)
-
     def with_window(self, window: int) -> "GroupDivision":
         return dataclasses.replace(self, window=int(window))
-
-
-@dataclass(frozen=True)
-class GroupMask:
-    """Per-frame boolean masks, one per group.
-
-    When the division keeps a default group, its mask is appended last so
-    the masks always partition the frame's points.
-    """
-
-    masks: tuple[np.ndarray, ...]
-    steps: tuple[float, ...]
-    has_default: bool
 
 
 @dataclass(frozen=True)
@@ -151,84 +148,6 @@ class AggregatedCloud:
     @property
     def count(self) -> int:
         return self.labeled.count
-
-
-def make_group_masks(frame: SequenceFrame, division: GroupDivision) -> GroupMask:
-    """Class-membership masks over one frame's (possibly predicted) labels."""
-    semantic = frame.labeled.semantic
-    masks = []
-    steps = []
-    covered = np.zeros(semantic.shape[0], dtype=bool)
-    for group in division.groups:
-        mask = np.isin(semantic, np.fromiter(sorted(group.classes), np.int64, len(group.classes)))
-        masks.append(mask)
-        steps.append(group.step)
-        covered |= mask
-    leftover = ~covered
-    if division.default_step is None:
-        if leftover.any():
-            missing = sorted(np.unique(semantic[leftover]).tolist())
-            raise ConfigurationError(
-                f"classes {missing} are not assigned to any group and the "
-                f"division has no default group"
-            )
-        return GroupMask(tuple(masks), tuple(steps), has_default=False)
-    masks.append(leftover)
-    steps.append(division.default_step)
-    return GroupMask(tuple(masks), tuple(steps), has_default=True)
-
-
-# ---------------------------------------------------------------------------
-# assembly helpers
-
-
-class _Assembler:
-    """Collects (cloud slice, tags) parts and concatenates them once."""
-
-    def __init__(self, reference_frame: int):
-        self.reference = reference_frame
-        self.xyz: list[np.ndarray] = []
-        self.intensity: list[np.ndarray] = []
-        self.semantic: list[np.ndarray] = []
-        self.instance: list[np.ndarray] = []
-        self.source_frame: list[np.ndarray] = []
-        self.source_step: list[np.ndarray] = []
-
-    def add(self, xyz, intensity, semantic, instance, frame_index: int, step) -> None:
-        n = xyz.shape[0]
-        if n == 0:
-            return
-        self.xyz.append(xyz)
-        self.intensity.append(intensity)
-        self.semantic.append(semantic)
-        self.instance.append(instance)
-        self.source_frame.append(np.full(n, frame_index, dtype=np.int64))
-        step_arr = step if isinstance(step, np.ndarray) else np.full(n, step, dtype=np.int64)
-        self.source_step.append(step_arr)
-
-    def add_whole(self, frame: SequenceFrame, xyz, step: int) -> None:
-        labeled = frame.labeled
-        self.add(xyz, labeled.cloud.intensity, labeled.semantic, labeled.instance,
-                 frame.index, step)
-
-    def build(self) -> AggregatedCloud:
-        if not self.xyz:
-            return AggregatedCloud(
-                LabeledCloud.empty(),
-                np.zeros(0, np.int64),
-                np.zeros(0, np.int64),
-                self.reference,
-            )
-        cloud = PointCloud(np.vstack(self.xyz), np.concatenate(self.intensity))
-        labeled = LabeledCloud(
-            cloud, np.concatenate(self.semantic), np.concatenate(self.instance)
-        )
-        return AggregatedCloud(
-            labeled,
-            np.concatenate(self.source_frame),
-            np.concatenate(self.source_step),
-            self.reference,
-        )
 
 
 def _index_frames(frames: Sequence[SequenceFrame], t: int) -> dict[int, SequenceFrame]:
@@ -264,21 +183,91 @@ def step_offsets(step: float, window: int) -> list[int]:
     return [i * s for i in range(1, int(window) // s + 1)]
 
 
-def aggregate_direct(frames: Sequence[SequenceFrame], t: int, window: int) -> AggregatedCloud:
-    """Plain dense aggregation: every sweep in [t - window, t], no filtering."""
+def _aggregate(
+    by_index: Mapping[int, SequenceFrame],
+    t: int,
+    window: int,
+    groups: Sequence[ClassGroup],
+    default_step: float | None,
+) -> AggregatedCloud:
+    """The frame loop behind every aggregation strategy.
+
+    Every point gets a code ``2 * slot + near``: its class's group, or the
+    default slot after the groups, and whether it lies closer than its
+    group's distance split. A past point is kept when its code's step
+    divides the offset. ``default_step=None`` makes any unmapped class in
+    the window an error.
+    """
     if window < 0 or int(window) != window:
         raise InvalidInputError(f"window must be a non-negative integer, got {window!r}")
-    by_index = _index_frames(frames, t)
-    out = _Assembler(t)
+    window, default = int(window), len(groups)
+    # table[c + 1] is the far code of class c; both ends catch ids outside
+    # the field once the lookup clips.
+    table = np.full(LABEL_FIELD_SIZE + 2, 2 * default, dtype=np.intp)
+    for slot, group in enumerate(groups):
+        table[[c + 1 for c in group.classes]] = 2 * slot
+    unmapped_step = INFINITE_STEP if default_step is None else default_step
+    steps = np.array([[g.step, g.near_step()] for g in groups] + [[unmapped_step] * 2]).ravel()
+    tags = np.where(np.isfinite(steps), steps, 0).astype(np.int64)
+    splits = [g.distance_split.threshold_m if g.distance_split else 0.0 for g in groups]
+    thresholds = np.array(splits + [0.0]).repeat(2)
+    uniform = bool((steps == steps[0]).all())
+
+    if default_step is None:
+        for frame in (f for f in by_index.values() if t - window <= f.index <= t):
+            semantic = frame.labeled.semantic
+            unmapped = np.take(table, semantic + 1, mode="clip") == 2 * default
+            if unmapped.any():
+                missing = sorted(np.unique(semantic[unmapped]).tolist())
+                raise ConfigurationError(
+                    f"classes {missing} in frame {frame.index} are not assigned to "
+                    f"any group and the division has no default group"
+                )
+
     present = by_index[t]
-    out.add_whole(present, present.labeled.cloud.xyz, 0)
-    for offset in range(1, int(window) + 1):
+    # (frame, kept rows, rows moved into frame t, step tags), present first
+    parts = [(present, slice(None), present.labeled.cloud.xyz, np.zeros(present.count, np.int64))]
+    for offset in range(1, window + 1):
+        keep = offset % steps == 0  # per code; the infinite step never divides
+        if not keep.any():
+            continue
         frame = _source_frame(by_index, t, offset)
         if frame is None:
-            continue
-        moved = relative_pose(present.pose, frame.pose).apply(frame.labeled.cloud.xyz)
-        out.add_whole(frame, moved, 1)
-    return out.build()
+            break
+        xyz = frame.labeled.cloud.xyz
+        if uniform:
+            rows, step_tags = slice(None), np.full(frame.count, tags[0])
+        else:
+            code = np.take(table, frame.labeled.semantic + 1, mode="clip")
+            if (keep & (thresholds > 0)).any():
+                # range in the sweep's own sensor frame, once per frame
+                code += np.linalg.norm(xyz, axis=1) < thresholds[code]
+            rows = slice(None) if keep.all() else keep[code]
+            step_tags = tags[code[rows]]
+            if step_tags.shape[0] == 0:
+                continue
+        moved = relative_pose(present.pose, frame.pose).apply(xyz[rows])
+        parts.append((frame, rows, moved, step_tags))
+
+    def column(get):
+        return np.concatenate([get(frame.labeled)[rows] for frame, rows, _, _ in parts])
+
+    labeled = LabeledCloud(
+        PointCloud(np.concatenate([p[2] for p in parts]), column(lambda l: l.cloud.intensity)),
+        column(lambda l: l.semantic),
+        column(lambda l: l.instance),
+    )
+    return AggregatedCloud(
+        labeled,
+        np.repeat(np.array([p[0].index for p in parts], np.int64), [p[2].shape[0] for p in parts]),
+        np.concatenate([p[3] for p in parts]),
+        t,
+    )
+
+
+def aggregate_direct(frames: Sequence[SequenceFrame], t: int, window: int) -> AggregatedCloud:
+    """Plain dense aggregation: every sweep in [t - window, t], no filtering."""
+    return _aggregate(_index_frames(frames, t), t, window, (), 1)
 
 
 def aggregate_stepped(
@@ -286,71 +275,7 @@ def aggregate_stepped(
 ) -> AggregatedCloud:
     """Uniform stepped aggregation of all classes: frames t - i*step."""
     step = _check_step(step)
-    if window < 0 or int(window) != window:
-        raise InvalidInputError(f"window must be a non-negative integer, got {window!r}")
-    by_index = _index_frames(frames, t)
-    present = by_index[t]
-    out = _Assembler(t)
-    out.add_whole(present, present.labeled.cloud.xyz, 0)
-    for offset in step_offsets(step, int(window)):
-        frame = _source_frame(by_index, t, offset)
-        if frame is None:
-            continue
-        moved = relative_pose(present.pose, frame.pose).apply(frame.labeled.cloud.xyz)
-        out.add_whole(frame, moved, int(step))
-    return out.build()
-
-
-def _add_group_parts(
-    out: _Assembler,
-    by_index: Mapping[int, SequenceFrame],
-    t: int,
-    group_classes: frozenset[int],
-    step: float,
-    split: DistanceSplit | None,
-    window: int,
-) -> None:
-    if step == INFINITE_STEP:
-        return
-    present = by_index[t]
-    class_arr = np.fromiter(sorted(group_classes), np.int64, len(group_classes))
-    near_step = int(step * split.near_step_multiplier) if split is not None else None
-    for offset in step_offsets(step, window):
-        frame = _source_frame(by_index, t, offset)
-        if frame is None:
-            continue
-        pick = np.isin(frame.labeled.semantic, class_arr)
-        steps = np.full(frame.count, int(step), dtype=np.int64)
-        if split is not None:
-            # Range in the sweep's own sensor frame, before any pose is applied.
-            near = np.linalg.norm(frame.labeled.cloud.xyz, axis=1) < split.threshold_m
-            if offset % near_step == 0:
-                steps[near] = near_step
-            else:
-                pick = pick & ~near
-        if not pick.any():
-            continue
-        moved = relative_pose(present.pose, frame.pose).apply(frame.labeled.cloud.xyz[pick])
-        labeled = frame.labeled
-        out.add(moved, labeled.cloud.intensity[pick], labeled.semantic[pick],
-                labeled.instance[pick], frame.index, steps[pick])
-
-
-def aggregate_group(
-    frames: Sequence[SequenceFrame], t: int, division: GroupDivision, group_index: int
-) -> AggregatedCloud:
-    """Temporal points of one group only (the present sweep is not included)."""
-    if not (0 <= group_index < len(division.groups)):
-        raise ConfigurationError(
-            f"group index {group_index} outside 0..{len(division.groups) - 1}"
-        )
-    by_index = _index_frames(frames, t)
-    group = division.groups[group_index]
-    out = _Assembler(t)
-    _add_group_parts(
-        out, by_index, t, group.classes, group.step, group.distance_split, division.window
-    )
-    return out.build()
+    return _aggregate(_index_frames(frames, t), t, window, (), step)
 
 
 def aggregate_fsa(
@@ -358,40 +283,11 @@ def aggregate_fsa(
 ) -> AggregatedCloud:
     """Full flexible-step aggregation: present sweep plus every group's points.
 
-    Masks are evaluated on each source sweep's own labels and applied before
-    the pose transform, so only surviving points are ever moved.
+    Classes are looked up on each source sweep's own labels and the kept
+    rows are picked before the pose transform, so only they are moved.
     """
     by_index = _index_frames(frames, t)
-    present = by_index[t]
-    # Checks for unmapped classes across every sweep that can contribute.
-    if division.default_step is None:
-        for frame in by_index.values():
-            if frame.index <= t and frame.index >= t - division.window:
-                make_group_masks(frame, division)
-    out = _Assembler(t)
-    out.add_whole(present, present.labeled.cloud.xyz, 0)
-    for group in division.groups:
-        _add_group_parts(
-            out, by_index, t, group.classes, group.step, group.distance_split, division.window
-        )
-    if division.default_step is not None and division.default_step != INFINITE_STEP:
-        mapped = division.mapped_classes()
-        default_classes = _leftover_classes(by_index, t, division.window, mapped)
-        if default_classes:
-            _add_group_parts(
-                out, by_index, t, default_classes, division.default_step, None, division.window
-            )
-    return out.build()
-
-
-def _leftover_classes(
-    by_index: Mapping[int, SequenceFrame], t: int, window: int, mapped: frozenset[int]
-) -> frozenset[int]:
-    seen: set[int] = set()
-    for idx, frame in by_index.items():
-        if t - window <= idx <= t:
-            seen.update(np.unique(frame.labeled.semantic).tolist())
-    return frozenset(seen - set(mapped))
+    return _aggregate(by_index, t, division.window, division.groups, division.default_step)
 
 
 # ---------------------------------------------------------------------------
@@ -553,20 +449,23 @@ def load_division(path) -> GroupDivision:
             distance_split: {threshold_m: 30.0, near_step_multiplier: 2}
     """
     raw = yaml.safe_load(Path(path).read_text())
-    if not isinstance(raw, dict) or "groups" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("groups"), list):
         raise ConfigurationError(f"{path}: expected a mapping with a 'groups' list")
     groups = []
-    for item in raw["groups"]:
-        split = None
-        if "distance_split" in item and item["distance_split"] is not None:
-            ds = item["distance_split"]
-            split = DistanceSplit(
-                threshold_m=float(ds["threshold_m"]),
-                near_step_multiplier=int(ds.get("near_step_multiplier", 2)),
-            )
-        groups.append(
-            ClassGroup(frozenset(int(c) for c in item["classes"]), _parse_step(item["step"]), split)
-        )
+    for gi, item in enumerate(raw["groups"]):
+        try:
+            split = item.get("distance_split")
+            if split is not None:
+                split = DistanceSplit(
+                    threshold_m=float(split["threshold_m"]),
+                    near_step_multiplier=int(split.get("near_step_multiplier", 2)),
+                )
+            classes = frozenset(int(c) for c in item["classes"])
+            groups.append(ClassGroup(classes, _parse_step(item["step"]), split))
+        except KeyError as exc:
+            raise ConfigurationError(f"{path}: group {gi} is missing {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{path}: group {gi}: {exc}") from None
     default_step = raw.get("default_step", INFINITE_STEP)
     if default_step is not None:
         default_step = _parse_step(default_step)

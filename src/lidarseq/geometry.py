@@ -177,8 +177,3 @@ def transform_points(pose: Pose, cloud: PointCloud) -> PointCloud:
     """Rigidly move a cloud into the pose's parent frame. Intensity is kept."""
     return PointCloud(pose.apply(cloud.xyz), cloud.intensity)
 
-
-def transform_labeled(pose: Pose, labeled: LabeledCloud) -> LabeledCloud:
-    return LabeledCloud(
-        transform_points(pose, labeled.cloud), labeled.semantic, labeled.instance
-    )

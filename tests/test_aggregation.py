@@ -1,4 +1,4 @@
-"""Flexible step aggregation: index sets, masks, divisions and the full path.
+"""Flexible step aggregation: index sets, divisions, row order and the full path.
 
 The randomized checks compare against the concat-all-then-filter oracle from
 helpers.py, which transforms every sweep first and filters afterwards; the
@@ -19,15 +19,14 @@ from lidarseq.aggregation import (
     GroupDivision,
     aggregate_direct,
     aggregate_fsa,
-    aggregate_group,
     aggregate_stepped,
     division_preset,
     load_division,
-    make_group_masks,
     resolve_division,
     step_offsets,
 )
 from lidarseq.errors import ConfigurationError, InvalidInputError
+from lidarseq.geometry import LabeledCloud, relative_pose
 from lidarseq.sequence import corrupt_labels, generate_synthetic
 
 from helpers import (
@@ -51,6 +50,20 @@ def scene(frame_count=8, points=300, seed=1, classes=None):
             seed=seed,
         )
     )
+
+
+def same_bits(a, b) -> bool:
+    """Row-for-row, bit-for-bit equality of two aggregated clouds."""
+    rows_a, rows_b = agg_rows(a), agg_rows(b)
+    return rows_a.shape == rows_b.shape and rows_a.tobytes() == rows_b.tobytes()
+
+
+def relabeled(frame, point: int, class_id: int):
+    """The frame with one point's semantic class replaced."""
+    semantic = frame.labeled.semantic.copy()
+    semantic[point] = class_id
+    labeled = LabeledCloud(frame.labeled.cloud, semantic, frame.labeled.instance)
+    return dataclasses.replace(frame, labeled=labeled)
 
 
 class TestStepOffsets:
@@ -136,68 +149,40 @@ class TestAggregateStepped:
 
     def test_step_one_matches_direct(self):
         frames = scene(frame_count=7, points=80)
-        stepped = sort_rows(agg_rows(aggregate_stepped(frames, 6, 4, 1)))
-        direct = sort_rows(agg_rows(aggregate_direct(frames, 6, 4)))
-        assert np.array_equal(stepped, direct)
-
-
-class TestGroupMasks:
-    def test_masks_partition_the_frame(self):
-        frames = scene(classes={1: 0.25, 9: 0.25, 13: 0.25, 15: 0.25})
-        division = GroupDivision(
-            (ClassGroup(frozenset({1}), INFINITE_STEP), ClassGroup(frozenset({9, 13}), 2)),
-        )
-        gm = make_group_masks(frames[0], division)
-        assert gm.has_default
-        stacked = np.stack(gm.masks)
-        assert np.all(stacked.sum(axis=0) == 1)
-        # class 15 is unmapped and must land in the trailing default mask
-        assert np.array_equal(gm.masks[-1], frames[0].labeled.semantic == 15)
-
-    def test_unmapped_without_default_group_is_an_error(self):
-        frames = scene()
-        division = GroupDivision(
-            (ClassGroup(frozenset({1}), 2),), default_step=None
-        )
-        with pytest.raises(ConfigurationError, match=r"\b9\b"):
-            make_group_masks(frames[0], division)
-
-    def test_mask_steps_follow_groups(self):
-        frames = scene()
-        division = GroupDivision(
-            (ClassGroup(frozenset({1}), 4), ClassGroup(frozenset({9, 13}), 2)),
-        )
-        gm = make_group_masks(frames[0], division)
-        assert gm.steps == (4.0, 2.0, INFINITE_STEP)
+        assert same_bits(aggregate_stepped(frames, 6, 4, 1), aggregate_direct(frames, 6, 4))
+        # one group holding every class at step s is stepped aggregation
+        for step in (1, 2, 3):
+            division = GroupDivision((ClassGroup(frozenset({1, 9, 13}), step),), window=4)
+            assert same_bits(
+                aggregate_fsa(frames, 6, division), aggregate_stepped(frames, 6, 4, step)
+            )
 
 
 class TestAggregateGroup:
+    """The past rows one group contributes to aggregate_fsa."""
+
     def test_infinite_group_contributes_nothing(self):
         frames = scene()
         division = GroupDivision((ClassGroup(frozenset({1, 9, 13}), INFINITE_STEP),))
-        out = aggregate_group(frames, 7, division, 0)
-        assert out.count == 0
+        out = aggregate_fsa(frames, 7, division)
+        assert out.count == frames[7].count
+        assert np.all(out.source_step == 0)
 
     def test_step4_window16_samples_four_sweeps(self):
         frames = scene(frame_count=20, points=200)
         division = GroupDivision((ClassGroup(frozenset({9}), 4),), window=16)
-        out = aggregate_group(frames, 18, division, 0)
-        assert sorted(set(out.source_frame.tolist())) == [2, 6, 10, 14]
-        assert np.all(out.source_step == 4)
-        assert set(np.unique(out.labeled.semantic)) == {9}
+        out = aggregate_fsa(frames, 18, division)
+        past = out.source_step != 0
+        assert sorted(set(out.source_frame[past].tolist())) == [2, 6, 10, 14]
+        assert np.all(out.source_step[past] == 4)
+        assert set(np.unique(out.labeled.semantic[past])) == {9}
 
     def test_sources_ordered_by_ascending_offset(self):
         frames = scene(frame_count=20, points=200)
         division = GroupDivision((ClassGroup(frozenset({9}), 4),), window=16)
-        out = aggregate_group(frames, 18, division, 0)
+        out = aggregate_fsa(frames, 18, division)
         order = out.source_frame[np.sort(np.unique(out.source_frame, return_index=True)[1])]
-        assert order.tolist() == [14, 10, 6, 2]
-
-    def test_bad_group_index_is_rejected(self):
-        frames = scene()
-        division = GroupDivision((ClassGroup(frozenset({1}), 2),))
-        with pytest.raises(ConfigurationError):
-            aggregate_group(frames, 5, division, 3)
+        assert order.tolist() == [18, 14, 10, 6, 2]
 
 
 class TestDistanceSplit:
@@ -215,9 +200,9 @@ class TestDistanceSplit:
             ),
             window=16,
         )
-        out = aggregate_group(frames, 16, division, 0)
+        out = aggregate_fsa(frames, 16, division)
         by_frame = {f.index: f for f in frames}
-        for idx in np.unique(out.source_frame):
+        for idx in np.unique(out.source_frame[out.source_step != 0]):
             offset = 16 - idx
             src = by_frame[idx]
             own_range = np.linalg.norm(src.labeled.cloud.xyz, axis=1)
@@ -228,6 +213,7 @@ class TestDistanceSplit:
             assert got == expect_far + expect_near
         near_rows = out.source_step == 4
         assert near_rows.any() and (out.source_step == 2).any()
+        assert set(np.unique(out.labeled.semantic[out.source_step != 0])) == {9}
         # near-tagged points only come from offsets divisible by 4
         assert set((16 - out.source_frame[near_rows]).tolist()) <= {4, 8, 12, 16}
 
@@ -305,6 +291,73 @@ class TestAggregateFsa:
         assert set(np.unique(out.labeled.semantic[past])) == {9}
         assert sorted(set(out.source_frame[past].tolist())) == [2, 4]
 
+    def test_rows_come_present_first_then_by_ascending_offset(self):
+        frames = scene(frame_count=10, points=300)
+        division = GroupDivision(
+            (
+                ClassGroup(frozenset({1}), 2, DistanceSplit(threshold_m=12.0)),
+                ClassGroup(frozenset({9}), 3),
+            ),
+            window=8,
+        )
+        out = aggregate_fsa(frames, 9, division)
+        # offsets 2, 4, 8 (group 1, near points only at 4 and 8) and 3, 6
+        blocks = out.source_frame[np.sort(np.unique(out.source_frame, return_index=True)[1])]
+        assert blocks.tolist() == [9, 7, 6, 5, 3, 1]
+        assert np.all(np.diff(out.source_frame) <= 0)
+        present = frames[9]
+        for src in (frames[i] for i in blocks):
+            offset = 9 - src.index
+            semantic = src.labeled.semantic
+            near = np.linalg.norm(src.labeled.cloud.xyz, axis=1) < 12.0
+            keep = (semantic == 1) & (offset % np.where(near, 4, 2) == 0)
+            keep |= (semantic == 9) & (offset % 3 == 0)
+            moved = relative_pose(present.pose, src.pose).apply(src.labeled.cloud.xyz[keep])
+            if offset == 0:
+                keep[:], moved = True, src.labeled.cloud.xyz
+            rows = out.source_frame == src.index
+            assert np.array_equal(out.labeled.cloud.xyz[rows], moved)
+            assert np.array_equal(out.labeled.cloud.intensity[rows], src.labeled.cloud.intensity[keep])
+            assert np.array_equal(out.labeled.semantic[rows], semantic[keep])
+            assert np.array_equal(out.labeled.instance[rows], src.labeled.instance[keep])
+
+    def test_unmapped_without_default_group_is_an_error(self):
+        frames = scene()
+        division = GroupDivision(
+            (ClassGroup(frozenset({1}), 2),), default_step=None
+        )
+        with pytest.raises(ConfigurationError, match=r"\b9\b"):
+            aggregate_fsa(frames, 5, division)
+        # The check covers every sweep in the window, sampled or not: 5 is
+        # the present sweep, 4 sits at offset 1, which step 2 never samples.
+        division = GroupDivision(
+            (ClassGroup(frozenset({1, 9, 13}), 2),), window=4, default_step=None
+        )
+        for index in (5, 4):
+            marked = [relabeled(f, 0, 15) if f.index == index else f for f in frames]
+            with pytest.raises(ConfigurationError, match=r"\b15\b"):
+                aggregate_fsa(marked, 5, division)
+        # frame 0 lies outside the window [1, 5]
+        marked = [relabeled(f, 0, 15) if f.index == 0 else f for f in frames]
+        assert aggregate_fsa(marked, 5, division).count == aggregate_fsa(frames, 5, division).count
+
+    def test_ids_outside_the_label_field_take_the_default_step(self):
+        frames = scene()
+        # -65529 would index class 9's slot through a wrapping lookup, 65545
+        # would reach class 9 by masking to 16 bits
+        odd = {6: -65529, 5: 65545}
+        marked = [relabeled(f, 0, odd[f.index]) if f.index in odd else f for f in frames]
+        division = GroupDivision(
+            (ClassGroup(frozenset({1, 9, 13}), INFINITE_STEP),), window=4, default_step=1
+        )
+        out = aggregate_fsa(marked, 7, division)
+        assert sorted(out.labeled.semantic[out.source_step == 1].tolist()) == [-65529, 65545]
+        strict = dataclasses.replace(division, default_step=None)
+        for index, class_id in odd.items():
+            marked = [relabeled(f, 0, class_id) if f.index == index else f for f in frames]
+            with pytest.raises(ConfigurationError, match=rf"\[{class_id}\]"):
+                aggregate_fsa(marked, 7, strict)
+
     def test_rerun_is_bit_identical(self):
         frames = scene()
         division = division_preset("division2", window=6)
@@ -361,6 +414,12 @@ class TestDivisions:
             ClassGroup(frozenset({1}), 2.5)
         with pytest.raises(ConfigurationError):
             GroupDivision((ClassGroup(frozenset({1}), 2),), window=0)
+
+    def test_class_ids_outside_the_label_field_are_rejected(self):
+        for bad in (-1, 65536):
+            with pytest.raises(ConfigurationError, match="label field"):
+                ClassGroup(frozenset({1, bad}), 2)
+        assert ClassGroup(frozenset({0, 65535}), 2).classes == {0, 65535}
 
     def test_division_yaml_round_trip(self, tmp_path):
         text = """

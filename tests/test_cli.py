@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
-from lidarseq.aggregation import aggregate_fsa, division_preset
+from lidarseq.aggregation import aggregate_fsa, division_preset, load_division
 from lidarseq.augment import classify_motion, extract_track
 from lidarseq.cli import main
+from lidarseq.errors import ConfigurationError
 from lidarseq.aggregation import aggregate_direct
 from lidarseq.sequence import load_sequence
 from lidarseq.voxels import load_voxel_maps
@@ -132,6 +133,28 @@ class TestAggregate:
         assert code == 1
         err = capsys.readouterr().err
         assert "division1" in err and "division5" in err
+
+    def test_malformed_division_file_is_a_usage_error(self, seq_dir, tmp_path, capsys):
+        good = "  - classes: [1]\n    step: 2\n"
+        cases = {
+            "no_step": ("groups:\n" + good + "  - classes: [9]\n", "group 1"),
+            "scalar_groups": ("groups: 5\n", "'groups' list"),
+            "no_threshold": (
+                "groups:\n" + good
+                + "  - classes: [9]\n    step: 2\n    distance_split: {near_step_multiplier: 2}\n",
+                "group 1",
+            ),
+        }
+        for name, (text, where) in cases.items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text)
+            with pytest.raises(ConfigurationError, match=where):
+                load_division(path)
+            code = main(["aggregate", "--sequence", str(seq_dir), "--strategy", "fsa",
+                         "--division", str(path)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert path.name in err and where in err
 
     def test_missing_sequence_dir_is_a_data_error(self, tmp_path):
         assert main(["aggregate", "--sequence", str(tmp_path / "nope")]) == 2
