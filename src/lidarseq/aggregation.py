@@ -293,13 +293,6 @@ def aggregate_fsa(
 # ---------------------------------------------------------------------------
 # shipped divisions
 
-SEMANTIC_KITTI_CLASS_NAMES: dict[int, str] = {
-    1: "car", 2: "bicycle", 3: "motorcycle", 4: "truck", 5: "other-vehicle",
-    6: "person", 7: "bicyclist", 8: "motorcyclist", 9: "road", 10: "parking",
-    11: "sidewalk", 12: "other-ground", 13: "building", 14: "fence",
-    15: "vegetation", 16: "trunk", 17: "terrain", 18: "pole", 19: "traffic-sign",
-}
-
 # Editable single-scan baseline scores used to band classes into groups.
 # These are rough validation-set numbers; swap in your own model's scores
 # (or load a custom division file) to re-band.
@@ -448,7 +441,10 @@ def load_division(path) -> GroupDivision:
             step: 4
             distance_split: {threshold_m: 30.0, near_step_multiplier: 2}
     """
-    raw = yaml.safe_load(Path(path).read_text())
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"{path}: not valid YAML ({exc})") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("groups"), list):
         raise ConfigurationError(f"{path}: expected a mapping with a 'groups' list")
     groups = []
@@ -466,12 +462,16 @@ def load_division(path) -> GroupDivision:
             raise ConfigurationError(f"{path}: group {gi} is missing {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{path}: group {gi}: {exc}") from None
-    default_step = raw.get("default_step", INFINITE_STEP)
-    if default_step is not None:
-        default_step = _parse_step(default_step)
+    try:
+        default_step = raw.get("default_step", INFINITE_STEP)
+        if default_step is not None:
+            default_step = _parse_step(default_step)
+        window = int(raw.get("window", DEFAULT_WINDOW))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     return GroupDivision(
         tuple(groups),
-        window=int(raw.get("window", DEFAULT_WINDOW)),
+        window=window,
         default_step=default_step,
         name=str(raw.get("name", Path(path).stem)),
     )

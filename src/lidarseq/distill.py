@@ -76,22 +76,9 @@ def shared_selection(
     voxel size, origin, or scale level do not share a grid and are rejected.
     """
     _check_same_grid(student, teacher)
-    rows_s: list[int] = []
-    rows_t: list[int] = []
-    for i, coord in enumerate(map(tuple, student.coords.tolist())):
-        j = teacher.lookup(coord)
-        if j is not None:
-            rows_s.append(i)
-            rows_t.append(j)
-    if rows_s:
-        coords = student.coords[np.array(rows_s)]
-    else:
-        coords = np.zeros((0, 3), dtype=np.int64)
-    return SharedVoxelSelection(
-        coords,
-        np.array(rows_s, dtype=np.int64),
-        np.array(rows_t, dtype=np.int64),
-    )
+    rows_t = teacher.rows(student.coords)
+    rows_s = np.flatnonzero(rows_t >= 0)
+    return SharedVoxelSelection(student.coords[rows_s], rows_s, rows_t[rows_s])
 
 
 def distill_loss(

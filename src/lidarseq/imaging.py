@@ -266,28 +266,22 @@ def fuse_to_voxels(
     voxel_size: float = DEFAULT_VOXEL_SIZE,
     origin=(0.0, 0.0, 0.0),
     kernel: np.ndarray | None = None,
-    passes: int = 1,
 ) -> list[VoxelFeatureMap]:
     """Voxelize lifted features and fuse them into a multi-scale pyramid.
 
-    Each scale applies ``passes`` rounds of a fixed submanifold kernel,
-    seeded per scale unless an explicit kernel is given; coarser scales halve
-    the grid. Deterministic for a given seed.
+    Each scale applies one fixed submanifold kernel, seeded per scale unless
+    an explicit kernel is given; coarser scales halve the grid. Deterministic
+    for a given seed.
     """
     if scales < 1:
         raise InvalidInputError(f"need at least one scale, got {scales}")
-    if passes < 1:
-        raise InvalidInputError(f"need at least one kernel pass, got {passes}")
     if agg.count == 0:
         raise InvalidInputError("cannot fuse an empty feature cloud")
 
     def convolved(vmap: VoxelFeatureMap, level: int) -> VoxelFeatureMap:
-        for _ in range(passes):
-            if kernel is not None:
-                vmap = apply_fixed_kernel(vmap, kernel)
-            else:
-                vmap = apply_fixed_kernel(vmap, seed=seed + level)
-        return vmap
+        if kernel is not None:
+            return apply_fixed_kernel(vmap, kernel)
+        return apply_fixed_kernel(vmap, seed=seed + level)
 
     current = voxelize(agg.xyz, agg.features, voxel_size, origin)
     pyramid = [convolved(current, 0)]

@@ -4,13 +4,20 @@ A map stores only occupied voxels as integer coordinates plus one feature
 row each. Coordinates follow ``floor((p - origin) / voxel_size)`` and are
 kept in ascending lexicographic order (x, then y, then z), which makes set
 operations between maps deterministic.
+
+Every voxel lookup (trilinear gather, kernel taps, shared-voxel selection)
+goes through one batched index, ``VoxelFeatureMap.rows``. Each map packs its
+coordinates into mixed-radix int64 keys over its own bounding box, so the
+keys ascend in the canonical order and one ``np.searchsorted`` answers a
+whole batch. A queried coordinate outside the box is a miss and is never
+packed. A map whose box volume does not fit the keys (2**62 voxels or more)
+is rejected when it is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +25,6 @@ import numpy as np
 from .errors import ConfigurationError, InvalidInputError
 
 DEFAULT_VOXEL_SIZE = 0.05
-
-
-def _canonical_order(coords: np.ndarray) -> np.ndarray:
-    return np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -46,16 +49,44 @@ class VoxelFeatureMap:
             )
         if not np.isfinite(features).all():
             raise InvalidInputError("voxel features contain non-finite values")
-        order = _canonical_order(coords)
-        coords = coords[order]
-        features = features[order]
-        if coords.shape[0] > 1 and (np.diff(coords, axis=0) == 0).all(axis=1).any():
+        if coords.shape[0]:
+            lo, hi = coords.min(axis=0), coords.max(axis=0)
+        else:  # an empty box: every query misses
+            lo, hi = np.zeros(3, np.int64), np.full(3, -1, np.int64)
+        # Keys run up to the box volume. It is computed in Python ints, so a
+        # volume past int64 is caught here instead of wrapping.
+        span = [h - l + 1 for h, l in zip(hi.tolist(), lo.tolist())]
+        if span[0] * span[1] * span[2] >= 1 << 62:
+            raise InvalidInputError(
+                f"voxel coordinates span a {span[0]} x {span[1]} x {span[2]} box, "
+                f"too large to index (volume must stay below 2**62)"
+            )
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_radix", np.array([span[1] * span[2], span[2], 1], np.int64))
+        keys = (coords - lo) @ self._radix  # mixed radix: ascends with coords
+        order = np.argsort(keys, kind="stable")
+        coords, features, keys = coords[order], features[order], keys[order]
+        if (np.diff(keys) == 0).any():
             raise InvalidInputError("duplicate voxel coordinates")
-        for arr in (origin, coords, features):
+        for arr in (origin, coords, features, keys):
             arr.flags.writeable = False
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "features", features)
+        object.__setattr__(self, "_keys", keys)
+
+    def rows(self, coords) -> np.ndarray:
+        """Row of each (M, 3) coordinate in this map, or -1 where unoccupied."""
+        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+        out = np.full(coords.shape[0], -1, dtype=np.int64)
+        # only in-box coordinates are packed: an outside one could alias a key
+        inside = (coords >= self._lo) & (coords <= self._hi)
+        inside = inside[:, 0] & inside[:, 1] & inside[:, 2]
+        keys = (coords[inside] - self._lo) @ self._radix
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.count - 1)
+        out[inside] = np.where(self._keys[pos] == keys, pos, -1)
+        return out
 
     @property
     def count(self) -> int:
@@ -65,13 +96,6 @@ class VoxelFeatureMap:
     def width(self) -> int:
         return self.features.shape[1]
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, int, int], int]:
-        return {tuple(c): i for i, c in enumerate(self.coords.tolist())}
-
-    def lookup(self, coord) -> int | None:
-        return self._index.get(tuple(int(v) for v in coord))
-
     def voxel_centers(self) -> np.ndarray:
         return self.origin + (self.coords.astype(np.float64) + 0.5) * self.voxel_size
 
@@ -80,7 +104,7 @@ def _mean_reduce(coords: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, 
     """Collapse duplicate coordinates, averaging their feature rows."""
     if coords.shape[0] == 0:
         return coords, features
-    order = _canonical_order(coords)
+    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     coords = coords[order]
     features = features[order]
     new_group = np.ones(coords.shape[0], dtype=bool)
@@ -147,18 +171,12 @@ def gather_trilinear(vmap: VoxelFeatureMap, query_xyz: np.ndarray) -> np.ndarray
     base = np.floor(u).astype(np.int64)
     frac = u - base
 
-    index = vmap._index
     weight_sum = np.zeros(m)
     for corner in _CORNERS:
         w = np.ones(m)
         for axis in range(3):
             w = w * (frac[:, axis] if corner[axis] else 1.0 - frac[:, axis])
-        coords = base + corner
-        rows = np.fromiter(
-            (index.get((cx, cy, cz), -1) for cx, cy, cz in coords.tolist()),
-            dtype=np.int64,
-            count=m,
-        )
+        rows = vmap.rows(base + corner)
         found = rows >= 0
         if not found.any():
             continue
@@ -204,19 +222,9 @@ def apply_fixed_kernel(
             f"kernel input width {kernel.shape[4]} != map width {vmap.width}"
         )
     out = np.zeros((vmap.count, kernel.shape[3]))
-    if vmap.count == 0:
-        return VoxelFeatureMap(
-            vmap.voxel_size, vmap.origin, vmap.coords, out, vmap.scale_level
-        )
-    index = vmap._index
     for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3):
         tap = kernel[dx + 1, dy + 1, dz + 1]
-        shifted = vmap.coords + np.array([dx, dy, dz], dtype=np.int64)
-        rows = np.fromiter(
-            (index.get((cx, cy, cz), -1) for cx, cy, cz in shifted.tolist()),
-            dtype=np.int64,
-            count=vmap.count,
-        )
+        rows = vmap.rows(vmap.coords + np.array([dx, dy, dz], dtype=np.int64))
         found = rows >= 0
         if found.any():
             out[found] += vmap.features[rows[found]] @ tap.T

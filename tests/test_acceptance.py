@@ -7,6 +7,7 @@ shared helpers or defined locally as plain scalar loops.
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import time
 import numpy as np
 import yaml
 
+import lidarseq
 from lidarseq.aggregation import (
     aggregate_direct,
     aggregate_fsa,
@@ -416,10 +418,15 @@ def test_criterion_11_cli_pipeline_smoke_completes_quickly(tmp_path):
     teacher = tmp_path / "teacher.npz"
     report = tmp_path / "report.jsonl"
 
+    # the CLI children import the same lidarseq as this test, installed or not
+    src = os.path.dirname(os.path.dirname(lidarseq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def run(*args):
         proc = subprocess.run(
             [sys.executable, "-m", "lidarseq.cli", *args],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 0, f"{args}: {proc.stderr}"
         return proc.stdout

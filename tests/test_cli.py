@@ -144,6 +144,8 @@ class TestAggregate:
                 + "  - classes: [9]\n    step: 2\n    distance_split: {near_step_multiplier: 2}\n",
                 "group 1",
             ),
+            "yaml_syntax": ("groups: [\n", "not valid YAML"),
+            "bad_window": ("window: abc\ngroups:\n" + good, "invalid literal for int"),
         }
         for name, (text, where) in cases.items():
             path = tmp_path / f"{name}.yaml"

@@ -82,6 +82,51 @@ class TestSharedSelection:
             shared_selection(base, make_map(coords, feats, level=1))
 
 
+class TestSharedSelectionIndexEdges:
+    def check(self, student, teacher):
+        sel = shared_selection(student, teacher)
+        want = set(map(tuple, student.coords.tolist())) & set(map(tuple, teacher.coords.tolist()))
+        assert set(map(tuple, sel.coords.tolist())) == want
+        assert np.array_equal(student.coords[sel.student_index], sel.coords)
+        assert np.array_equal(teacher.coords[sel.teacher_index], sel.coords)
+        assert abs(distill_loss(student, teacher) - loss_oracle(student, teacher)) < 1e-12
+        return sel
+
+    def test_one_voxel_thick_teacher(self):
+        rng = np.random.default_rng(12)
+        for axis in range(3):
+            coords = rng.integers(-4, 5, size=(50, 3))
+            coords[:, axis] = 0
+            teacher_coords = np.unique(coords, axis=0)
+            # the student sits one layer above the flat teacher, and on it
+            above = teacher_coords.copy()
+            above[:, axis] = 1
+            student_coords = np.unique(np.vstack([above, teacher_coords[::2]]), axis=0)
+            teacher = make_map(teacher_coords, rng.normal(size=(teacher_coords.shape[0], 3)))
+            student = make_map(student_coords, rng.normal(size=(student_coords.shape[0], 3)))
+            assert self.check(student, teacher).count == teacher_coords[::2].shape[0]
+
+    def test_student_entirely_outside_the_teacher_box(self):
+        rng = np.random.default_rng(13)
+        teacher = make_map([[0, 0, 0], [0, 1, 0], [1, 0, 0]], rng.normal(size=(3, 2)))
+        student = make_map([[0, -1, 1], [0, 0, 1], [-1, 2, 0], [2, 0, 0]], rng.normal(size=(4, 2)))
+        assert self.check(student, teacher).count == 0
+
+    def test_voxels_far_apart_on_one_axis(self):
+        rng = np.random.default_rng(14)
+        far = 2**40
+        teacher = make_map([[-far, 0, 0], [far, 0, 0], [0, 0, 0]], rng.normal(size=(3, 2)))
+        student = make_map([[far, 0, 0], [far - 1, 0, 0], [-far, 0, 0]], rng.normal(size=(3, 2)))
+        sel = self.check(student, teacher)
+        assert sel.coords.tolist() == [[-far, 0, 0], [far, 0, 0]]
+
+    def test_empty_maps(self):
+        empty = make_map(np.zeros((0, 3), np.int64), np.zeros((0, 2)))
+        full = make_map([[0, 0, 0]], [[1.0, 2.0]])
+        for a, b in ((empty, full), (full, empty), (empty, empty)):
+            assert self.check(a, b).count == 0
+
+
 class TestDistillLoss:
     def test_identical_maps_give_exactly_zero(self):
         rng = np.random.default_rng(4)

@@ -297,8 +297,6 @@ class TestFuseToVoxels:
         agg = self.agg()
         with pytest.raises(InvalidInputError):
             fuse_to_voxels(agg, scales=0)
-        with pytest.raises(InvalidInputError):
-            fuse_to_voxels(agg, passes=0)
 
 
 class TestTemporalMultimodalGather:

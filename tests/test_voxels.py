@@ -309,6 +309,100 @@ class TestFixedKernel:
             apply_fixed_kernel(random_map(rng))
 
 
+def flat_map(rng, axis, width=3, size=0.5) -> VoxelFeatureMap:
+    """A map one voxel thick along ``axis``: a packed key that ignored the
+    box would send a tap just past it onto the next row of voxels."""
+    coords = rng.integers(-4, 5, size=(40, 3))
+    coords[:, axis] = 2
+    coords = np.unique(coords, axis=0)
+    return VoxelFeatureMap(size, rng.normal(size=3), coords, rng.normal(size=(coords.shape[0], width)))
+
+
+class TestIndex:
+    def test_rows_match_a_dict_of_coordinates(self):
+        rng = np.random.default_rng(16)
+        vmap = random_map(rng, count=80)
+        table = {c: i for i, c in enumerate(map(tuple, vmap.coords.tolist()))}
+        queries = rng.integers(-8, 9, size=(500, 3))
+        want = [table.get(tuple(q), -1) for q in queries.tolist()]
+        assert vmap.rows(queries).tolist() == want
+        assert np.array_equal(vmap.rows(vmap.coords), np.arange(vmap.count))
+
+    def test_empty_map_misses_everything(self):
+        vmap = VoxelFeatureMap(0.5, np.zeros(3), np.zeros((0, 3), np.int64), np.zeros((0, 2)))
+        got = vmap.rows(np.array([[0, 0, 0], [-1, -1, -1], [5, 0, 2]]))
+        assert got.dtype == np.int64
+        assert got.tolist() == [-1, -1, -1]
+        assert vmap.rows(np.zeros((0, 3), np.int64)).shape == (0,)
+
+    def test_coordinates_outside_the_box_miss(self):
+        coords = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]])
+        vmap = VoxelFeatureMap(1.0, np.zeros(3), coords, np.ones((4, 1)))
+        # the first five would pack onto occupied keys if the box were ignored
+        outside = np.array([[0, -1, 1], [0, 0, 1], [-1, 2, 0], [0, 2, 0], [2, -2, 0],
+                            [-(2**62), 0, 0], [2**62, 1, 0]])
+        assert vmap.rows(outside).tolist() == [-1] * len(outside)
+        assert vmap.rows(coords[::-1]).tolist() == [3, 2, 1, 0]
+
+    def test_kernel_and_gather_on_one_voxel_thick_maps(self):
+        rng = np.random.default_rng(17)
+        for axis in range(3):
+            vmap = flat_map(rng, axis)
+            kernel = seeded_kernel(3, axis)
+            got = apply_fixed_kernel(vmap, kernel)
+            want = dense_conv_oracle(vmap, kernel)
+            for coord, feat in zip(got.coords.tolist(), got.features):
+                assert np.abs(feat - want[tuple(coord)]).max() < 1e-9
+            queries = rng.uniform(-6, 6, size=(200, 3)) * vmap.voxel_size + vmap.origin
+            for q, row in zip(queries, gather_trilinear(vmap, queries)):
+                assert np.abs(row - trilinear_oracle(vmap, q)).max() < 1e-12
+
+    def test_kernel_and_gather_on_a_one_voxel_wide_line(self):
+        rng = np.random.default_rng(18)
+        coords = np.zeros((9, 3), np.int64)
+        coords[:, 0] = np.arange(-4, 5)
+        vmap = VoxelFeatureMap(0.5, np.zeros(3), coords, rng.normal(size=(9, 2)))
+        kernel = seeded_kernel(2, 4)
+        got = apply_fixed_kernel(vmap, kernel)
+        want = dense_conv_oracle(vmap, kernel)
+        for coord, feat in zip(got.coords.tolist(), got.features):
+            assert np.abs(feat - want[tuple(coord)]).max() < 1e-9
+        queries = rng.uniform(-3, 3, size=(200, 3)) * vmap.voxel_size
+        for q, row in zip(queries, gather_trilinear(vmap, queries)):
+            assert np.abs(row - trilinear_oracle(vmap, q)).max() < 1e-12
+
+    def test_voxels_far_apart_on_one_axis(self):
+        far = 2**40
+        coords = np.array([[far, 3, -2], [-far, 0, 1]])
+        feats = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        vmap = VoxelFeatureMap(1.0, np.zeros(3), coords, feats)
+        assert vmap.coords.tolist() == [[-far, 0, 1], [far, 3, -2]]
+        assert vmap.rows(coords).tolist() == [1, 0]
+        assert vmap.rows(np.array([[0, 0, 1], [far - 1, 3, -2]])).tolist() == [-1, -1]
+        # the two voxels are not neighbors: each convolves as if alone
+        kernel = seeded_kernel(2, 5)
+        got = apply_fixed_kernel(vmap, kernel)
+        for k in range(2):
+            alone = VoxelFeatureMap(1.0, np.zeros(3), vmap.coords[k:k + 1], vmap.features[k:k + 1])
+            want = dense_conv_oracle(alone, kernel)[tuple(vmap.coords[k].tolist())]
+            assert np.abs(got.features[k] - want).max() < 1e-12
+        queries = np.array([[far + 0.7, 3.4, -1.2], [-far + 0.2, 0.9, 1.5], [0.0, 0.0, 0.0]])
+        for q, row in zip(queries, gather_trilinear(vmap, queries)):
+            assert np.abs(row - trilinear_oracle(vmap, q)).max() < 1e-12
+
+    def test_box_too_large_to_pack_is_rejected(self):
+        coords = np.array([[0, 0, 0], [2**21, 2**21, 2**21]])
+        with pytest.raises(InvalidInputError, match="2097153 x 2097153 x 2097153"):
+            VoxelFeatureMap(1.0, np.zeros(3), coords, np.ones((2, 1)))
+        # a (2**61 - 1) x 2 x 1 box is still indexed; a 2**61 x 2 x 1 box is 2**62
+        edge = np.array([[0, 0, 0], [2**61 - 2, 1, 0]])
+        vmap = VoxelFeatureMap(1.0, np.zeros(3), edge, np.ones((2, 1)))
+        assert vmap.rows(edge[::-1]).tolist() == [1, 0]
+        assert vmap.rows(np.array([[2**61 - 2, 0, 0], [2**61 - 1, 1, 0]])).tolist() == [-1, -1]
+        with pytest.raises(InvalidInputError):
+            VoxelFeatureMap(1.0, np.zeros(3), edge + [[0, 0, 0], [1, 0, 0]], np.ones((2, 1)))
+
+
 class TestSerialization:
     def test_round_trip_is_bit_identical(self, tmp_path):
         rng = np.random.default_rng(15)
