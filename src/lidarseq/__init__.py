@@ -69,6 +69,7 @@ from .sequence import (
     load_camera_calib,
     load_scene_spec,
     load_sequence,
+    sequence_length,
     write_sequence,
 )
 from .voxels import (

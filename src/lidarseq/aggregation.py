@@ -466,12 +466,14 @@ def load_division(path) -> GroupDivision:
         default_step = raw.get("default_step", INFINITE_STEP)
         if default_step is not None:
             default_step = _parse_step(default_step)
-        window = int(raw.get("window", DEFAULT_WINDOW))
+        window = raw.get("window", DEFAULT_WINDOW)
+        if int(window) != window:
+            raise ValueError(f"window must be an integer, got {window!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     return GroupDivision(
         tuple(groups),
-        window=window,
+        window=int(window),
         default_step=default_step,
         name=str(raw.get("name", Path(path).stem)),
     )

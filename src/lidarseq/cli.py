@@ -41,6 +41,7 @@ from .sequence import (
     load_camera_calib,
     load_scene_spec,
     load_sequence,
+    sequence_length,
     write_sequence,
 )
 from .voxels import load_voxel_maps, save_voxel_maps
@@ -77,28 +78,40 @@ def _resolve_division(spec: str, window: int | None = None):
         raise UsageError(str(exc)) from None
 
 
-def _load_source(args) -> tuple[list[SequenceFrame], object]:
-    """Frames plus a camera calibration (None when unavailable)."""
+def _reference_frame(requested: int | None, count: int) -> int:
+    if requested is None:
+        return count - 1
+    if not 0 <= requested < count:
+        raise InvalidInputError(
+            f"frame {requested} is outside the sequence of {count} frames (0..{count - 1})"
+        )
+    return requested
+
+
+def _load_source(args, history: int | None = None) -> tuple[list[SequenceFrame], object, int]:
+    """Frames, a camera calibration (None when unavailable) and the reference frame t.
+
+    A sequence directory decodes only frames [t - history, t], clipped at
+    frame 0, or every frame when history is None. Offsets reaching before
+    the first loaded frame are truncated exactly as at the start of a
+    sequence, so the result does not depend on what lies outside the window.
+    A synthetic scene is generated whole.
+    """
     if args.sequence:
         seq_dir = Path(args.sequence)
-        frames = load_sequence(seq_dir)
+        t = _reference_frame(args.frame, sequence_length(seq_dir))
+        window = None if history is None else (max(0, t - max(history, 0)), t)
+        frames = load_sequence(seq_dir, window)
         try:
             calib = load_camera_calib(seq_dir)
         except (FormatError, InvalidInputError):
             calib = None
-        return frames, calib
+        return frames, calib, t
     spec = load_scene_spec(args.synth)
     if getattr(args, "seed", None) is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    return generate_synthetic(spec), spec.camera.calib()
-
-
-def _pick_frame(frames, requested: int | None) -> int:
-    if requested is None:
-        return frames[-1].index
-    if requested not in {f.index for f in frames}:
-        raise InvalidInputError(f"frame {requested} is not in the loaded range")
-    return requested
+    frames = generate_synthetic(spec)
+    return frames, spec.camera.calib(), _reference_frame(args.frame, len(frames))
 
 
 def _corrupted_past(frames, t: int, rate: float, seed: int):
@@ -109,17 +122,6 @@ def _corrupted_past(frames, t: int, rate: float, seed: int):
         frame if frame.index == t else corrupt_labels(frame, rate, seed + frame.index)
         for frame in frames
     ]
-
-
-def _aggregate(args, frames) -> AggregatedCloud:
-    t = _pick_frame(frames, args.frame)
-    frames = _corrupted_past(frames, t, args.label_error_rate, args.seed or 0)
-    if args.strategy == "direct":
-        return aggregate_direct(frames, t, args.window)
-    if args.strategy == "stepped":
-        return aggregate_stepped(frames, t, args.window, args.step)
-    division = _resolve_division(args.division, args.window)
-    return aggregate_fsa(frames, t, division)
 
 
 def _save_cloud(path, agg: AggregatedCloud) -> None:
@@ -158,21 +160,32 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    frames, _ = _load_source(args)
-    agg = _aggregate(args, frames)
+    if args.strategy == "fsa":
+        # --window overrides the division's own window only when given
+        division = _resolve_division(args.division, args.window)
+        window = division.window
+    else:
+        window = aggregation.DEFAULT_WINDOW if args.window is None else args.window
+    frames, _, t = _load_source(args, window)
+    frames = _corrupted_past(frames, t, args.label_error_rate, args.seed or 0)
+    if args.strategy == "direct":
+        agg = aggregate_direct(frames, t, window)
+    elif args.strategy == "stepped":
+        agg = aggregate_stepped(frames, t, window, args.step)
+    else:
+        agg = aggregate_fsa(frames, t, division)
     if args.out:
         _save_cloud(args.out, agg)
     past = int((agg.source_step > 0).sum())
     print(
         f"{args.strategy}: {agg.count} points at t={agg.reference_frame} "
-        f"(window {args.window}, {past} temporal)"
+        f"(window {window}, {past} temporal)"
     )
     return 0
 
 
 def _cmd_augment(args) -> int:
-    frames, calib = _load_source(args)
-    t = _pick_frame(frames, args.frame)
+    frames, calib, t = _load_source(args)
     first = min(f.index for f in frames)
     agg = aggregate_direct(frames, t, t - first)
     track = extract_track(agg, args.instance)
@@ -224,19 +237,30 @@ def _frame_image(seq_dir: Path, index: int):
     raise InvalidInputError(f"no image for frame {index} under {seq_dir / 'image_2'}")
 
 
+class _ImagesOnDemand(dict):
+    """Frame index -> image, read the first time the lifting asks for it."""
+
+    def __init__(self, read):
+        super().__init__()
+        self._read = read
+
+    def __missing__(self, index):
+        image = self[index] = self._read(index)
+        return image
+
+
 def _cmd_lift(args) -> int:
-    frames, calib = _load_source(args)
+    frames, calib, t = _load_source(args, args.image_window)
     if calib is None:
         raise InvalidInputError("no camera calibration available; cannot project")
-    t = _pick_frame(frames, args.frame)
+    # only the present frame and the sampled t - offset frames are read
     if args.sequence:
         seq_dir = Path(args.sequence)
-        images = {f.index: _frame_image(seq_dir, f.index) for f in frames}
+        images = _ImagesOnDemand(lambda index: _frame_image(seq_dir, index))
     else:
-        images = {
-            f.index: synthetic_feature_image(calib, f.index, seed=args.seed or 0)
-            for f in frames
-        }
+        images = _ImagesOnDemand(
+            lambda index: synthetic_feature_image(calib, index, seed=args.seed or 0)
+        )
     lifted = aggregate_image_features(
         frames, images, calib, t, step=args.image_step, window=args.image_window
     )
@@ -270,10 +294,9 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    frames, _ = _load_source(args)
-    t = _pick_frame(frames, args.frame)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     windows = [int(w) for w in args.windows.split(",") if w.strip()]
+    frames, _, t = _load_source(args, max(windows, default=0))
     division = None
     if any(s == "fsa" for s in strategies):
         division = _resolve_division(args.division)
@@ -310,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aggregate", help="aggregate temporal sweeps into one cloud")
     _add_source(p)
     p.add_argument("--frame", type=int, default=None, help="reference frame t (default: last)")
-    p.add_argument("--window", type=int, default=aggregation.DEFAULT_WINDOW)
+    p.add_argument("--window", type=int, default=None,
+                   help="history in frames (default: the division's window for fsa, "
+                        f"{aggregation.DEFAULT_WINDOW} otherwise)")
     p.add_argument("--strategy", choices=("direct", "stepped", "fsa"), default="fsa")
     p.add_argument("--step", type=int, default=2, help="step for --strategy stepped")
     p.add_argument("--division", default="division3", help="preset name or YAML path")

@@ -149,6 +149,11 @@ def _decode_labels(raw: bytes, count: int, path: Path) -> tuple[np.ndarray, np.n
     return semantic, instance
 
 
+def sequence_length(seq_dir) -> int:
+    """Number of frames listed in poses.txt; decodes no frame."""
+    return len(_parse_poses(Path(seq_dir) / "poses.txt"))
+
+
 def load_sequence(
     seq_dir, window: tuple[int, int] | None = None
 ) -> list[SequenceFrame]:

@@ -1,17 +1,27 @@
 """CLI behavior: exit codes, reproducibility, end-to-end subcommand wiring."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from lidarseq.aggregation import aggregate_fsa, division_preset, load_division
+from lidarseq import cli
+from lidarseq import sequence as seqio
+from lidarseq.aggregation import (
+    DEFAULT_WINDOW,
+    aggregate_direct,
+    aggregate_fsa,
+    aggregate_stepped,
+    division_preset,
+    load_division,
+)
 from lidarseq.augment import classify_motion, extract_track
 from lidarseq.cli import main
 from lidarseq.errors import ConfigurationError
-from lidarseq.aggregation import aggregate_direct
-from lidarseq.sequence import load_sequence
+from lidarseq.imaging import aggregate_image_features, fuse_to_voxels, read_image
+from lidarseq.sequence import corrupt_labels, load_camera_calib, load_sequence
 from lidarseq.voxels import load_voxel_maps
 
 SPEC = {
@@ -146,6 +156,7 @@ class TestAggregate:
             ),
             "yaml_syntax": ("groups: [\n", "not valid YAML"),
             "bad_window": ("window: abc\ngroups:\n" + good, "invalid literal for int"),
+            "fractional_window": ("window: 2.5\ngroups:\n" + good, "window must be an integer"),
         }
         for name, (text, where) in cases.items():
             path = tmp_path / f"{name}.yaml"
@@ -161,12 +172,35 @@ class TestAggregate:
     def test_missing_sequence_dir_is_a_data_error(self, tmp_path):
         assert main(["aggregate", "--sequence", str(tmp_path / "nope")]) == 2
 
-    def test_out_of_range_frame_is_a_data_error(self, seq_dir):
-        assert main(["aggregate", "--sequence", str(seq_dir), "--frame", "42"]) == 2
+    def test_out_of_range_frame_is_a_data_error(self, seq_dir, tmp_path, capsys):
+        augment = ["--instance", "5", "--switch", "moving-to-static", "--out", str(tmp_path / "a")]
+        for command, extra in (("aggregate", []), ("lift", []), ("bench", []), ("augment", augment)):
+            for frame in ("42", "6", "-1"):
+                assert main([command, "--sequence", str(seq_dir), "--frame", frame, *extra]) == 2
+                err = capsys.readouterr().err
+                assert f"frame {frame} " in err and "sequence of 6 frames" in err
 
     def test_source_is_required_and_exclusive(self, seq_dir, spec_path):
         assert main(["aggregate"]) == 1
         assert main(["aggregate", "--sequence", str(seq_dir), "--synth", str(spec_path)]) == 1
+
+    def test_division_file_window_is_used_unless_overridden(self, seq_dir, tmp_path, capsys):
+        path = tmp_path / "narrow.yaml"
+        path.write_text("window: 2\ngroups:\n  - classes: [40, 252, 10]\n    step: 1\n")
+        frames = load_sequence(seq_dir)
+        for extra, window in (([], 2), (["--window", "4"], 4)):
+            out = tmp_path / f"w{window}.npz"
+            assert main(["aggregate", "--sequence", str(seq_dir), "--strategy", "fsa",
+                         "--division", str(path), "--out", str(out), *extra]) == 0
+            want = aggregate_fsa(frames, 5, load_division(path).with_window(window))
+            assert want.count == 500 * (window + 1)
+            assert np.load(out)["xyz"].shape[0] == want.count
+            assert f"(window {window}," in capsys.readouterr().out
+
+    def test_direct_and_stepped_default_to_the_default_window(self, spec_path, capsys):
+        for strategy in ("direct", "stepped"):
+            assert main(["aggregate", "--synth", str(spec_path), "--strategy", strategy]) == 0
+            assert f"(window {DEFAULT_WINDOW}," in capsys.readouterr().out
 
 
 class TestAugment:
@@ -313,3 +347,150 @@ class TestBench:
         code = main(["bench", "--sequence", str(seq_dir), "--strategies", "quantum"])
         assert code == 1
         assert "direct" in capsys.readouterr().err
+
+
+def _long_sequence(tmp_path, frames, points=40):
+    spec = tmp_path / f"long{frames}.yaml"
+    spec.write_text(yaml.safe_dump({
+        "frame_count": frames,
+        "points_per_frame": points,
+        "classes": {40: 0.5, 10: 0.3, 70: 0.2},
+        "ego": {"velocity": [1.0, 0.0, 0.0], "yaw_rate_deg": 2.0},
+        "seed": 5,
+        "extent": 20.0,
+    }))
+    out = tmp_path / f"seq{frames}"
+    assert main(["synth", str(spec), "--out", str(out)]) == 0
+    return out
+
+
+class TestWindowedLoading:
+    """Commands decode only the frames and images their window reaches."""
+
+    @pytest.fixture()
+    def touched(self, monkeypatch):
+        seen = {"frames": set(), "images": set()}
+        read_bytes, read_image = seqio._read_bytes, cli.read_image
+
+        def frame_bytes(path):
+            seen["frames"].add(int(Path(path).stem))
+            return read_bytes(path)
+
+        def image(path):
+            seen["images"].add(int(Path(path).stem))
+            return read_image(path)
+
+        monkeypatch.setattr(seqio, "_read_bytes", frame_bytes)
+        monkeypatch.setattr(cli, "read_image", image)
+
+        def run(argv):
+            seen["frames"].clear()
+            seen["images"].clear()
+            assert main(argv) == 0
+            return set(seen["frames"]), set(seen["images"])
+
+        return run
+
+    def test_aggregate_touches_only_its_window(self, tmp_path, touched):
+        seq = str(_long_sequence(tmp_path, 30))
+        # division3 carries window 16; --window overrides it
+        assert touched(["aggregate", "--sequence", seq, "--frame", "20"]) == (set(range(4, 21)), set())
+        assert touched(["aggregate", "--sequence", seq, "--frame", "20", "--window", "3"]) == (
+            set(range(17, 21)), set())
+        assert touched(["aggregate", "--sequence", seq, "--frame", "5", "--strategy", "direct",
+                        "--window", "8"]) == (set(range(0, 6)), set())
+        # without --frame, t is the last frame listed in poses.txt
+        assert touched(["aggregate", "--sequence", seq, "--strategy", "stepped",
+                        "--window", "4"]) == (set(range(25, 30)), set())
+
+    def test_lift_reads_only_the_sampled_images(self, tmp_path, touched):
+        seq = str(_long_sequence(tmp_path, 30))
+        lift = ["lift", "--sequence", seq, "--voxel-size", "0.5", "--scales", "2"]
+        assert touched(lift + ["--frame", "20", "--image-step", "4", "--image-window", "10"]) == (
+            set(range(10, 21)), {20, 16, 12})
+        # offsets before frame 0 are dropped, as at the start of any sequence
+        assert touched(lift + ["--frame", "3", "--image-step", "2", "--image-window", "6"]) == (
+            set(range(0, 4)), {3, 1})
+
+    def test_bench_touches_its_widest_window(self, tmp_path, touched):
+        seq = str(_long_sequence(tmp_path, 30))
+        argv = ["bench", "--sequence", seq, "--frame", "12", "--windows", "2,7,4",
+                "--strategies", "direct,fsa", "--repeats", "1"]
+        assert touched(argv) == (set(range(5, 13)), set())
+
+    def test_touched_set_is_flat_in_sequence_length(self, tmp_path, touched):
+        runs = []
+        for frames in (50, 500):
+            seq = str(_long_sequence(tmp_path, frames))
+            runs.append([
+                touched(["aggregate", "--sequence", seq, "--frame", "40"]),
+                touched(["lift", "--sequence", seq, "--frame", "40", "--voxel-size", "0.5",
+                         "--image-step", "12", "--image-window", "24"]),
+                touched(["bench", "--sequence", seq, "--frame", "40", "--repeats", "1"]),
+            ])
+        assert runs[0] == runs[1]
+        assert runs[0] == [
+            (set(range(24, 41)), set()),
+            (set(range(16, 41)), {40, 28, 16}),
+            (set(range(24, 41)), set()),
+        ]
+
+
+class TestWindowedOutputs:
+    """Window-bounded commands write what the library gives on the whole sequence."""
+
+    @pytest.fixture(scope="class")
+    def seq(self, tmp_path_factory):
+        return _long_sequence(tmp_path_factory.mktemp("windowed"), 30, points=300)
+
+    @pytest.mark.parametrize("t", [3, 20])
+    def test_aggregate_matches_the_whole_sequence(self, seq, tmp_path, t):
+        division = tmp_path / "own-window.yaml"
+        division.write_text(
+            "window: 6\ndefault_step: 3\ngroups:\n"
+            "  - classes: [40]\n    step: inf\n"
+            "  - classes: [10]\n    step: 2\n"
+            "    distance_split: {threshold_m: 8.0, near_step_multiplier: 2}\n"
+        )
+        frames = load_sequence(seq)
+        noisy = [f if f.index == t else corrupt_labels(f, 0.25, 7 + f.index) for f in frames]
+        cases = [
+            (["--strategy", "fsa", "--division", str(division)],
+             aggregate_fsa(noisy, t, load_division(division))),
+            (["--strategy", "fsa", "--division", "division3", "--window", "5"],
+             aggregate_fsa(noisy, t, division_preset("division3", window=5))),
+            (["--strategy", "direct", "--window", "4"], aggregate_direct(noisy, t, 4)),
+            (["--strategy", "stepped", "--step", "3"], aggregate_stepped(noisy, t, DEFAULT_WINDOW, 3)),
+        ]
+        assert (cases[0][1].source_step > 0).any()  # the file's own window reaches past frames
+        for options, want in cases:
+            out = tmp_path / "cloud.npz"
+            assert main(["aggregate", "--sequence", str(seq), "--frame", str(t),
+                         "--label-error-rate", "0.25", "--seed", "7", "--out", str(out),
+                         *options]) == 0
+            dump = np.load(out)
+            assert np.array_equal(dump["xyz"], want.labeled.cloud.xyz)
+            assert np.array_equal(dump["intensity"], want.labeled.cloud.intensity)
+            assert np.array_equal(dump["semantic"], want.labeled.semantic)
+            assert np.array_equal(dump["instance"], want.labeled.instance)
+            assert np.array_equal(dump["source_frame"], want.source_frame)
+            assert np.array_equal(dump["source_step"], want.source_step)
+
+    @pytest.mark.parametrize("t", [3, 20])
+    def test_lift_matches_the_whole_sequence(self, seq, tmp_path, t):
+        frames = load_sequence(seq)
+        calib = load_camera_calib(seq)
+        images = {f.index: read_image(seq / "image_2" / f"{f.index:06d}.ppm") for f in frames}
+        lifted = aggregate_image_features(frames, images, calib, t, step=2, window=8)
+        want = fuse_to_voxels(lifted, scales=2, seed=4, voxel_size=0.5)
+        out = tmp_path / "maps.npz"
+        assert main(["lift", "--sequence", str(seq), "--frame", str(t), "--image-step", "2",
+                     "--image-window", "8", "--scales", "2", "--voxel-size", "0.5",
+                     "--seed", "4", "--out", str(out)]) == 0
+        got = load_voxel_maps(out)
+        assert len(got) == len(want) == 2
+        assert want[0].count > 0
+        for g, w in zip(got, want):
+            assert np.array_equal(g.coords, w.coords)
+            assert np.array_equal(g.features, w.features)
+            assert g.voxel_size == w.voxel_size and g.scale_level == w.scale_level

@@ -25,6 +25,7 @@ from lidarseq.sequence import (
     load_scene_spec,
     load_sequence,
     scene_spec_from_mapping,
+    sequence_length,
     write_sequence,
 )
 
@@ -167,6 +168,11 @@ class TestLazyLoading:
         assert [f.index for f in frames] == [2, 3]
         stems = {name.split(".")[0] for name in touched}
         assert stems == {"000002", "000003"}
+
+    def test_sequence_length_decodes_no_frame(self, tmp_path, monkeypatch):
+        write_sequence(tmp_path / "seq", generate_synthetic(demo_spec()))
+        monkeypatch.setattr(seqio, "_read_bytes", lambda p: pytest.fail(f"read {p}"))
+        assert sequence_length(tmp_path / "seq") == demo_spec().frame_count
 
 
 class TestSyntheticScene:
