@@ -10,7 +10,8 @@ nothing (the class is covered by the present sweep alone).
 Direct, stepped and flexible-step aggregation share one frame loop. A
 lookup table over the 16-bit label field gives every point the step of its
 class's group (unmapped classes take the division's default step, near
-points of a distance-split group the near step), and a point at offset k is
+points of a distance-split group the near step). The loop visits only the
+offsets some step divides (``sampled_offsets``), and a point at offset k is
 kept when its step divides k. Only kept rows are moved. Rows come out in a
 fixed order: the present sweep, then past sweeps by ascending offset, each
 in its source order.
@@ -25,7 +26,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-import yaml
 
 from .errors import ConfigurationError, InvalidInputError
 from .geometry import LabeledCloud, PointCloud, relative_pose
@@ -183,6 +183,12 @@ def step_offsets(step: float, window: int) -> list[int]:
     return [i * s for i in range(1, int(window) // s + 1)]
 
 
+def sampled_offsets(steps, window: int) -> list[int]:
+    """Window offsets sampled by any of ``steps``, ascending: the past frames
+    an aggregation with these steps reads."""
+    return sorted({offset for step in steps for offset in step_offsets(_check_step(step), window)})
+
+
 def _aggregate(
     by_index: Mapping[int, SequenceFrame],
     t: int,
@@ -227,13 +233,10 @@ def _aggregate(
     present = by_index[t]
     # (frame, kept rows, rows moved into frame t, step tags), present first
     parts = [(present, slice(None), present.labeled.cloud.xyz, np.zeros(present.count, np.int64))]
-    for offset in range(1, window + 1):
+    # offsets reaching before the first frame are truncated
+    for offset in sampled_offsets(steps, min(window, t - min(by_index))):
         keep = offset % steps == 0  # per code; the infinite step never divides
-        if not keep.any():
-            continue
         frame = _source_frame(by_index, t, offset)
-        if frame is None:
-            break
         xyz = frame.labeled.cloud.xyz
         if uniform:
             rows, step_tags = slice(None), np.full(frame.count, tags[0])
@@ -441,6 +444,8 @@ def load_division(path) -> GroupDivision:
             step: 4
             distance_split: {threshold_m: 30.0, near_step_multiplier: 2}
     """
+    import yaml  # only a division file needs it; keeps CLI start-up short
+
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:

@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregation, bench
-from .aggregation import AggregatedCloud, aggregate_direct, aggregate_fsa, aggregate_stepped
+from .aggregation import (
+    AggregatedCloud,
+    aggregate_direct,
+    aggregate_fsa,
+    aggregate_stepped,
+    sampled_offsets,
+)
 from .augment import apply_switch, classify_motion, extract_track, moving_to_static, ring_anchors, static_to_moving
 from .distill import distill_loss
 from .errors import (
@@ -88,20 +94,23 @@ def _reference_frame(requested: int | None, count: int) -> int:
     return requested
 
 
-def _load_source(args, history: int | None = None) -> tuple[list[SequenceFrame], object, int]:
+def _load_source(args, steps=None, window: int = 0) -> tuple[list[SequenceFrame], object, int]:
     """Frames, a camera calibration (None when unavailable) and the reference frame t.
 
-    A sequence directory decodes only frames [t - history, t], clipped at
-    frame 0, or every frame when history is None. Offsets reaching before
+    A sequence directory decodes only frame t and the frames t - o for the
+    offsets o <= window that one of ``steps`` divides and that reach frame
+    0 or later, or every frame when steps is None. Offsets reaching before
     the first loaded frame are truncated exactly as at the start of a
-    sequence, so the result does not depend on what lies outside the window.
-    A synthetic scene is generated whole.
+    sequence, and the samplers read no other offset, so the result does not
+    depend on what is not loaded. A synthetic scene is generated whole.
     """
     if args.sequence:
         seq_dir = Path(args.sequence)
         t = _reference_frame(args.frame, sequence_length(seq_dir))
-        window = None if history is None else (max(0, t - max(history, 0)), t)
-        frames = load_sequence(seq_dir, window)
+        indices = None
+        if steps is not None:
+            indices = [t, *(t - o for o in sampled_offsets(steps, min(window, t)))]
+        frames = load_sequence(seq_dir, indices=indices)
         try:
             calib = load_camera_calib(seq_dir)
         except (FormatError, InvalidInputError):
@@ -164,9 +173,16 @@ def _cmd_aggregate(args) -> int:
         # --window overrides the division's own window only when given
         division = _resolve_division(args.division, args.window)
         window = division.window
+        if division.default_step is None:
+            # the kernel checks every frame in the window for unmapped classes
+            steps = [1]
+        else:
+            # a near step is a multiple of its group's step and adds no offset
+            steps = [g.step for g in division.groups] + [division.default_step]
     else:
         window = aggregation.DEFAULT_WINDOW if args.window is None else args.window
-    frames, _, t = _load_source(args, window)
+        steps = [args.step if args.strategy == "stepped" else 1]
+    frames, _, t = _load_source(args, steps, window)
     frames = _corrupted_past(frames, t, args.label_error_rate, args.seed or 0)
     if args.strategy == "direct":
         agg = aggregate_direct(frames, t, window)
@@ -250,10 +266,12 @@ class _ImagesOnDemand(dict):
 
 
 def _cmd_lift(args) -> int:
-    frames, calib, t = _load_source(args, args.image_window)
+    # only the present frame and the sampled t - offset frames are read; a
+    # step the lifting rejects loads t alone and the library reports it
+    steps = [args.image_step] if args.image_step > 0 else []
+    frames, calib, t = _load_source(args, steps, args.image_window)
     if calib is None:
         raise InvalidInputError("no camera calibration available; cannot project")
-    # only the present frame and the sampled t - offset frames are read
     if args.sequence:
         seq_dir = Path(args.sequence)
         images = _ImagesOnDemand(lambda index: _frame_image(seq_dir, index))
@@ -293,10 +311,17 @@ def _cmd_distill(args) -> int:
     return 0
 
 
+def _parse_window(entry: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise UsageError(f"bad window {entry.strip()!r} in --windows") from None
+
+
 def _cmd_bench(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    windows = [int(w) for w in args.windows.split(",") if w.strip()]
-    frames, _, t = _load_source(args, max(windows, default=0))
+    windows = [_parse_window(w) for w in args.windows.split(",") if w.strip()]
+    frames, _, t = _load_source(args, [1], max(windows, default=0))
     division = None
     if any(s == "fsa" for s in strategies):
         division = _resolve_division(args.division)

@@ -18,12 +18,12 @@ coordinates to a common world frame.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import yaml
 
 from .errors import FormatError, InvalidInputError, InvalidSpecError
 from .geometry import LabeledCloud, Pose, PointCloud, compose, invert
@@ -155,12 +155,16 @@ def sequence_length(seq_dir) -> int:
 
 
 def load_sequence(
-    seq_dir, window: tuple[int, int] | None = None
+    seq_dir,
+    window: tuple[int, int] | None = None,
+    *,
+    indices: Iterable[int] | None = None,
 ) -> list[SequenceFrame]:
-    """Load a sequence directory, lazily touching only frames in ``window``.
+    """Load a sequence directory, lazily touching only the requested frames.
 
-    ``window`` is an inclusive (first, last) frame-index pair; None loads
-    every frame listed in poses.txt.
+    ``window`` is an inclusive (first, last) frame-index pair; ``indices``
+    names the frames one by one. Frames come back by ascending index, each
+    once. Passing neither loads every frame listed in poses.txt.
     """
     seq_dir = Path(seq_dir)
     pose_rows = _parse_poses(seq_dir / "poses.txt")
@@ -172,17 +176,27 @@ def load_sequence(
     times = _parse_times(times_path) if times_path.exists() else None
 
     count = len(pose_rows)
-    if window is None:
-        first, last = 0, count - 1
+    if indices is not None:
+        if window is not None:
+            raise InvalidInputError("pass a window or frame indices, not both")
+        wanted = sorted({operator.index(idx) for idx in indices})
+        outside = [idx for idx in wanted if not 0 <= idx < count]
+        if outside:
+            raise InvalidInputError(
+                f"frame index {outside[0]} outside sequence of {count} frames"
+            )
+    elif window is None:
+        wanted = range(count)
     else:
         first, last = int(window[0]), int(window[1])
         if not (0 <= first <= last < count):
             raise InvalidInputError(
                 f"window ({first}, {last}) outside sequence of {count} frames"
             )
+        wanted = range(first, last + 1)
 
     frames = []
-    for idx in range(first, last + 1):
+    for idx in wanted:
         stem = f"{idx:06d}"
         bin_path = seq_dir / "velodyne" / f"{stem}.bin"
         label_path = seq_dir / "labels" / f"{stem}.label"
@@ -511,6 +525,8 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> list[SequenceFrame]:
 
 def load_scene_spec(path) -> SyntheticSceneSpec:
     """Parse a YAML scene spec; keys mirror the SyntheticSceneSpec fields."""
+    import yaml  # only a scene spec needs it; keeps CLI start-up short
+
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict):
         raise InvalidSpecError(f"{path}: expected a mapping at top level")

@@ -23,6 +23,7 @@ from lidarseq.aggregation import (
     division_preset,
     load_division,
     resolve_division,
+    sampled_offsets,
     step_offsets,
 )
 from lidarseq.errors import ConfigurationError, InvalidInputError
@@ -78,6 +79,17 @@ class TestStepOffsets:
 
     def test_infinite_step_is_empty(self):
         assert step_offsets(INFINITE_STEP, 16) == []
+
+    def test_sampled_offsets_are_the_ascending_union(self):
+        assert sampled_offsets([4, INFINITE_STEP, 2, 4], 16) == step_offsets(2, 16)
+        assert sampled_offsets([3, 4], 16) == [3, 4, 6, 8, 9, 12, 15, 16]
+        assert sampled_offsets([INFINITE_STEP], 16) == sampled_offsets([], 16) == []
+        assert sampled_offsets([2], -1) == []
+
+    def test_sampled_offsets_reject_a_bad_step(self):
+        for step in (0, -2, 1.5):
+            with pytest.raises(ConfigurationError, match="positive integer"):
+                sampled_offsets([2, step], 16)
 
 
 class TestAggregateDirect:

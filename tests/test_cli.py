@@ -11,6 +11,7 @@ from lidarseq import cli
 from lidarseq import sequence as seqio
 from lidarseq.aggregation import (
     DEFAULT_WINDOW,
+    DIVISION_PRESET_NAMES,
     aggregate_direct,
     aggregate_fsa,
     aggregate_stepped,
@@ -348,6 +349,13 @@ class TestBench:
         assert code == 1
         assert "direct" in capsys.readouterr().err
 
+    def test_non_integer_window_is_a_usage_error(self, seq_dir, capsys):
+        for windows, bad in (("abc", "'abc'"), ("4,x", "'x'"), ("2, 1.5", "'1.5'")):
+            code = main(["bench", "--sequence", str(seq_dir), "--windows", windows])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and f"bad window {bad}" in err
+
 
 def _long_sequence(tmp_path, frames, points=40):
     spec = tmp_path / f"long{frames}.yaml"
@@ -365,7 +373,7 @@ def _long_sequence(tmp_path, frames, points=40):
 
 
 class TestWindowedLoading:
-    """Commands decode only the frames and images their window reaches."""
+    """Commands decode only the frames and images their samplers read."""
 
     @pytest.fixture()
     def touched(self, monkeypatch):
@@ -383,34 +391,52 @@ class TestWindowedLoading:
         monkeypatch.setattr(seqio, "_read_bytes", frame_bytes)
         monkeypatch.setattr(cli, "read_image", image)
 
-        def run(argv):
+        def run(argv, code=0):
             seen["frames"].clear()
             seen["images"].clear()
-            assert main(argv) == 0
+            assert main(argv) == code
             return set(seen["frames"]), set(seen["images"])
 
         return run
 
     def test_aggregate_touches_only_its_window(self, tmp_path, touched):
         seq = str(_long_sequence(tmp_path, 30))
-        # division3 carries window 16; --window overrides it
-        assert touched(["aggregate", "--sequence", seq, "--frame", "20"]) == (set(range(4, 21)), set())
+        # division3 carries window 16 and the finite steps 2 and 4; --window overrides it
+        assert touched(["aggregate", "--sequence", seq, "--frame", "20"]) == (
+            set(range(4, 21, 2)), set())
         assert touched(["aggregate", "--sequence", seq, "--frame", "20", "--window", "3"]) == (
-            set(range(17, 21)), set())
+            {18, 20}, set())
         assert touched(["aggregate", "--sequence", seq, "--frame", "5", "--strategy", "direct",
                         "--window", "8"]) == (set(range(0, 6)), set())
         # without --frame, t is the last frame listed in poses.txt
         assert touched(["aggregate", "--sequence", seq, "--strategy", "stepped",
-                        "--window", "4"]) == (set(range(25, 30)), set())
+                        "--window", "4"]) == ({25, 27, 29}, set())
+
+    def test_division_without_default_group_reads_the_whole_window(self, tmp_path, touched, capsys):
+        seq = _long_sequence(tmp_path, 30)
+        # class 99 appears only in frame 17, an odd offset no step of the division reaches
+        label = seq / "labels" / "000017.label"
+        packed = np.frombuffer(label.read_bytes(), dtype="<u4").copy()
+        packed[0] = (packed[0] & 0xFFFF0000) | 99
+        label.write_bytes(packed.tobytes())
+        division = tmp_path / "strict.yaml"
+        division.write_text(
+            "window: 6\ndefault_step: null\ngroups:\n  - classes: [40, 10, 70]\n    step: 2\n"
+        )
+        argv = ["aggregate", "--sequence", str(seq), "--frame", "20", "--division", str(division)]
+        assert touched(argv, code=2) == (set(range(14, 21)), set())
+        assert "classes [99] in frame 17" in capsys.readouterr().err
+        argv[argv.index("20")] = "24"  # frame 17 lies outside this window
+        assert touched(argv) == (set(range(18, 25)), set())
 
     def test_lift_reads_only_the_sampled_images(self, tmp_path, touched):
         seq = str(_long_sequence(tmp_path, 30))
         lift = ["lift", "--sequence", seq, "--voxel-size", "0.5", "--scales", "2"]
         assert touched(lift + ["--frame", "20", "--image-step", "4", "--image-window", "10"]) == (
-            set(range(10, 21)), {20, 16, 12})
+            {12, 16, 20}, {20, 16, 12})
         # offsets before frame 0 are dropped, as at the start of any sequence
         assert touched(lift + ["--frame", "3", "--image-step", "2", "--image-window", "6"]) == (
-            set(range(0, 4)), {3, 1})
+            {1, 3}, {3, 1})
 
     def test_bench_touches_its_widest_window(self, tmp_path, touched):
         seq = str(_long_sequence(tmp_path, 30))
@@ -430,8 +456,8 @@ class TestWindowedLoading:
             ])
         assert runs[0] == runs[1]
         assert runs[0] == [
-            (set(range(24, 41)), set()),
-            (set(range(16, 41)), {40, 28, 16}),
+            (set(range(24, 41, 2)), set()),
+            ({16, 28, 40}, {40, 28, 16}),
             (set(range(24, 41)), set()),
         ]
 
@@ -452,17 +478,30 @@ class TestWindowedOutputs:
             "  - classes: [10]\n    step: 2\n"
             "    distance_split: {threshold_m: 8.0, near_step_multiplier: 2}\n"
         )
+        # offsets 3, 4, 6, 8, 9, 12, 15, 16: not one arithmetic progression
+        uneven = tmp_path / "uneven.yaml"
+        uneven.write_text(
+            "groups:\n  - classes: [40]\n    step: 3\n  - classes: [10]\n    step: 4\n"
+        )
         frames = load_sequence(seq)
         noisy = [f if f.index == t else corrupt_labels(f, 0.25, 7 + f.index) for f in frames]
-        cases = [
+        presets = [
+            (["--strategy", "fsa", "--division", name], aggregate_fsa(noisy, t, division_preset(name)))
+            for name in DIVISION_PRESET_NAMES
+        ]
+        cases = presets + [
             (["--strategy", "fsa", "--division", str(division)],
              aggregate_fsa(noisy, t, load_division(division))),
+            (["--strategy", "fsa", "--division", str(uneven)],
+             aggregate_fsa(noisy, t, load_division(uneven))),
             (["--strategy", "fsa", "--division", "division3", "--window", "5"],
              aggregate_fsa(noisy, t, division_preset("division3", window=5))),
             (["--strategy", "direct", "--window", "4"], aggregate_direct(noisy, t, 4)),
             (["--strategy", "stepped", "--step", "3"], aggregate_stepped(noisy, t, DEFAULT_WINDOW, 3)),
         ]
-        assert (cases[0][1].source_step > 0).any()  # the file's own window reaches past frames
+        assert len(presets) == 5
+        # the file's own window reaches past frames
+        assert (cases[len(presets)][1].source_step > 0).any()
         for options, want in cases:
             out = tmp_path / "cloud.npz"
             assert main(["aggregate", "--sequence", str(seq), "--frame", str(t),
@@ -475,6 +514,18 @@ class TestWindowedOutputs:
             assert np.array_equal(dump["instance"], want.labeled.instance)
             assert np.array_equal(dump["source_frame"], want.source_frame)
             assert np.array_equal(dump["source_step"], want.source_step)
+
+    def test_rejected_steps_and_windows_keep_their_errors(self, seq, capsys):
+        cases = [
+            (["lift", "--image-step", "0"], "image step must be a positive integer, got 0"),
+            (["lift", "--image-window", "-1"], "image window must be a non-negative integer, got -1"),
+            (["aggregate", "--strategy", "stepped", "--step", "0"],
+             "step must be a positive integer or infinite, got 0"),
+        ]
+        for argv, message in cases:
+            for t in ("3", "20"):
+                assert main([*argv, "--sequence", str(seq), "--frame", t]) == 2
+                assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("t", [3, 20])
     def test_lift_matches_the_whole_sequence(self, seq, tmp_path, t):

@@ -169,6 +169,40 @@ class TestLazyLoading:
         stems = {name.split(".")[0] for name in touched}
         assert stems == {"000002", "000003"}
 
+    def test_indices_load_touches_only_listed_files(self, tmp_path, monkeypatch):
+        write_sequence(tmp_path / "seq", generate_synthetic(demo_spec()))
+        whole = {f.index: f for f in load_sequence(tmp_path / "seq")}
+        touched = []
+        real = seqio._read_bytes
+        monkeypatch.setattr(
+            seqio, "_read_bytes", lambda p: (touched.append(Path(p).name), real(p))[1]
+        )
+        frames = load_sequence(tmp_path / "seq", indices=[5, 1, 3, 1])
+        assert [f.index for f in frames] == [1, 3, 5]
+        assert {name.split(".")[0] for name in touched} == {"000001", "000003", "000005"}
+        for frame in frames:
+            want = whole[frame.index]
+            for get in (
+                lambda f: f.labeled.cloud.xyz,
+                lambda f: f.labeled.cloud.intensity,
+                lambda f: f.labeled.semantic,
+                lambda f: f.labeled.instance,
+                lambda f: f.pose.matrix,
+                lambda f: f.file_pose,
+            ):
+                assert get(frame).tobytes() == get(want).tobytes()
+            assert frame.timestamp == want.timestamp
+        assert load_sequence(tmp_path / "seq", indices=[]) == []
+
+    def test_indices_outside_sequence_are_named(self, tmp_path, monkeypatch):
+        write_sequence(tmp_path / "seq", generate_synthetic(demo_spec()))
+        monkeypatch.setattr(seqio, "_read_bytes", lambda p: pytest.fail(f"read {p}"))
+        for bad in (6, -1):
+            with pytest.raises(InvalidInputError, match=f"frame index {bad} outside sequence of 6 frames"):
+                load_sequence(tmp_path / "seq", indices=[0, bad])
+        with pytest.raises(InvalidInputError, match="not both"):
+            load_sequence(tmp_path / "seq", window=(0, 1), indices=[0])
+
     def test_sequence_length_decodes_no_frame(self, tmp_path, monkeypatch):
         write_sequence(tmp_path / "seq", generate_synthetic(demo_spec()))
         monkeypatch.setattr(seqio, "_read_bytes", lambda p: pytest.fail(f"read {p}"))
