@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -39,10 +40,17 @@ DEFAULT_WINDOW = 16
 LABEL_FIELD_SIZE = 1 << 16
 
 
+def _is_whole(value) -> bool:
+    """True for a finite integral number; a non-number fails as ``int()`` does."""
+    if isinstance(value, numbers.Real) and not math.isfinite(value):
+        return False
+    return int(value) == value
+
+
 def _check_step(step) -> float:
     if step == INFINITE_STEP:
         return INFINITE_STEP
-    if isinstance(step, bool) or not float(step).is_integer() or step < 1:
+    if isinstance(step, bool) or not _is_whole(step) or step < 1:
         raise ConfigurationError(f"step must be a positive integer or infinite, got {step!r}")
     return float(int(step))
 
@@ -62,7 +70,7 @@ class DistanceSplit:
     def __post_init__(self):
         if not (self.threshold_m > 0):
             raise ConfigurationError("distance threshold must be positive")
-        if self.near_step_multiplier < 1 or int(self.near_step_multiplier) != self.near_step_multiplier:
+        if not _is_whole(self.near_step_multiplier) or self.near_step_multiplier < 1:
             raise ConfigurationError("near_step_multiplier must be a positive integer")
 
 
@@ -109,8 +117,9 @@ class GroupDivision:
         object.__setattr__(self, "groups", tuple(self.groups))
         if not self.groups:
             raise ConfigurationError("a division needs at least one group")
-        if self.window < 1 or int(self.window) != self.window:
+        if not _is_whole(self.window) or self.window < 1:
             raise ConfigurationError(f"window must be a positive integer, got {self.window!r}")
+        object.__setattr__(self, "window", int(self.window))
         if self.default_step is not None:
             object.__setattr__(self, "default_step", _check_step(self.default_step))
         seen: dict[int, int] = {}
@@ -123,7 +132,7 @@ class GroupDivision:
                 seen[cid] = gi
 
     def with_window(self, window: int) -> "GroupDivision":
-        return dataclasses.replace(self, window=int(window))
+        return dataclasses.replace(self, window=window)
 
 
 @dataclass(frozen=True)
@@ -163,11 +172,9 @@ def _index_frames(frames: Sequence[SequenceFrame], t: int) -> dict[int, Sequence
     return by_index
 
 
-def _source_frame(by_index: Mapping[int, SequenceFrame], t: int, offset: int) -> SequenceFrame | None:
-    """Frame at t - offset; None when before the start of the data."""
+def _source_frame(by_index: Mapping[int, SequenceFrame], t: int, offset: int) -> SequenceFrame:
+    """Frame at t - offset, which callers keep at or after the first frame."""
     target = t - offset
-    if target < min(by_index):
-        return None
     if target not in by_index:
         raise InvalidInputError(
             f"frame {target} is required for aggregation at t={t} but missing"
@@ -204,7 +211,7 @@ def _aggregate(
     divides the offset. ``default_step=None`` makes any unmapped class in
     the window an error.
     """
-    if window < 0 or int(window) != window:
+    if not _is_whole(window) or window < 0:
         raise InvalidInputError(f"window must be a non-negative integer, got {window!r}")
     window, default = int(window), len(groups)
     # table[c + 1] is the far code of class c; both ends catch ids outside
@@ -297,8 +304,8 @@ def aggregate_fsa(
 # shipped divisions
 
 # Editable single-scan baseline scores used to band classes into groups.
-# These are rough validation-set numbers; swap in your own model's scores
-# (or load a custom division file) to re-band.
+# These are rough validation-set numbers; edit them (or load a custom
+# division file) to re-band.
 DEFAULT_CLASS_SCORES: dict[int, float] = {
     1: 96.0,   # car
     2: 45.0,   # bicycle
@@ -409,18 +416,13 @@ _PRESET_BUILDERS = {
 DIVISION_PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
 
 
-def division_preset(
-    name: str,
-    window: int = DEFAULT_WINDOW,
-    scores: Mapping[int, float] | None = None,
-) -> GroupDivision:
-    """Build one of the shipped divisions, optionally re-banded with custom
-    per-class scores."""
+def division_preset(name: str, window: int = DEFAULT_WINDOW) -> GroupDivision:
+    """Build one of the shipped divisions from ``DEFAULT_CLASS_SCORES``."""
     if name not in _PRESET_BUILDERS:
         raise ConfigurationError(
             f"unknown division {name!r}; valid presets: {', '.join(DIVISION_PRESET_NAMES)}"
         )
-    return _PRESET_BUILDERS[name](scores or DEFAULT_CLASS_SCORES, window)
+    return _PRESET_BUILDERS[name](DEFAULT_CLASS_SCORES, window)
 
 
 def _parse_step(raw) -> float:
@@ -472,13 +474,13 @@ def load_division(path) -> GroupDivision:
         if default_step is not None:
             default_step = _parse_step(default_step)
         window = raw.get("window", DEFAULT_WINDOW)
-        if int(window) != window:
+        if not _is_whole(window):
             raise ValueError(f"window must be an integer, got {window!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     return GroupDivision(
         tuple(groups),
-        window=int(window),
+        window=window,
         default_step=default_step,
         name=str(raw.get("name", Path(path).stem)),
     )

@@ -175,21 +175,15 @@ def moving_to_static(
     return track.translated(offsets)
 
 
-def _motion_axis(track: InstanceTrack, compare_with_vertical: bool) -> np.ndarray:
-    """Unit axis along the longer side of the track's bounding box.
+def _motion_axis(track: InstanceTrack) -> np.ndarray:
+    """Unit axis along the longer horizontal side of the track's bounding box.
 
-    The default reads "width and height" as the two horizontal extents of
-    the axis-aligned box and moves along the longer one. The flagged
-    alternative compares the first horizontal extent against the vertical
-    one instead, keeping the motion horizontal either way.
+    "Width and height" are read as the two horizontal extents of the
+    axis-aligned box, so the motion stays horizontal.
     """
     xyz = np.concatenate([part.xyz for part in track.parts], axis=0)
     extent = xyz.max(axis=0) - xyz.min(axis=0)
-    if compare_with_vertical:
-        along_x = extent[0] >= extent[2]
-    else:
-        along_x = extent[0] >= extent[1]
-    return np.array([1.0, 0.0, 0.0]) if along_x else np.array([0.0, 1.0, 0.0])
+    return np.array([1.0, 0.0, 0.0]) if extent[0] >= extent[1] else np.array([0.0, 1.0, 0.0])
 
 
 def _fewest_points_anchor(anchors: AnchorSet, scene_xyz: np.ndarray) -> int:
@@ -207,7 +201,6 @@ def static_to_moving(
     speed_range: tuple[float, float] = DEFAULT_SPEED_RANGE,
     seed: int = 0,
     threshold: float = DEFAULT_MOTION_THRESHOLD,
-    compare_with_vertical: bool = False,
 ) -> InstanceTrack:
     """Give a static track a constant per-step offset at a quiet anchor.
 
@@ -226,7 +219,7 @@ def static_to_moving(
     rng = np.random.default_rng(seed)
     speed = rng.uniform(lo, hi)
     sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
-    d = sign * speed * _motion_axis(track, compare_with_vertical)
+    d = sign * speed * _motion_axis(track)
     anchor = anchors.positions[_fewest_points_anchor(anchors, scene_xyz)]
     base = anchor - track.centroids[0]
     steps = np.arange(track.part_count, dtype=np.float64)[:, None]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import aggregation, bench
+from . import aggregation, augment, bench, imaging, voxels
 from .aggregation import (
     AggregatedCloud,
     aggregate_direct,
@@ -214,24 +214,21 @@ def _cmd_augment(args) -> int:
         )
     switched = apply_switch(agg, track, switched_track)
 
-    by_index = {f.index: f for f in frames}
+    present = {f.index: f for f in frames}[t]
+    instance_rows = switched.labeled.instance == args.instance
     out_frames = []
-    for index in sorted(by_index):
-        frame = by_index[index]
-        rows = switched.source_frame == index
-        if index < first or not rows.any():
+    for frame in frames:
+        rows = instance_rows & (switched.source_frame == frame.index)
+        if not rows.any():
             out_frames.append(frame)
             continue
+        # a frame's rows keep its own point order, so the instance rows align
         moved = frame.labeled.instance == args.instance
-        if not moved.any():
-            out_frames.append(frame)
-            continue
-        # block rows keep the frame's own point order, so positions align
-        back = relative_pose(frame.pose, by_index[t].pose)
+        back = relative_pose(frame.pose, present.pose)
         xyz = frame.labeled.cloud.xyz.copy()
         semantic = frame.labeled.semantic.copy()
-        xyz[moved] = back.apply(switched.labeled.cloud.xyz[rows])[moved]
-        semantic[moved] = switched.labeled.semantic[rows][moved]
+        xyz[moved] = back.apply(switched.labeled.cloud.xyz[rows])
+        semantic[moved] = switched.labeled.semantic[rows]
         labeled = LabeledCloud(
             PointCloud(xyz, frame.labeled.cloud.intensity), semantic, frame.labeled.instance
         )
@@ -375,8 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", type=int, default=None)
     p.add_argument("--instance", type=int, required=True)
     p.add_argument("--switch", choices=("static-to-moving", "moving-to-static"), required=True)
-    p.add_argument("--threshold", type=float, default=0.2, help="motion threshold (m)")
-    p.add_argument("--ring-radius", type=float, default=3.0, help="anchor ring radius (m)")
+    p.add_argument("--threshold", type=float, default=augment.DEFAULT_MOTION_THRESHOLD,
+                   help="motion threshold (m)")
+    p.add_argument("--ring-radius", type=float, default=augment.DEFAULT_RING_RADIUS,
+                   help="anchor ring radius (m)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_augment)
@@ -384,10 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="lift image features and fuse to voxel maps")
     _add_source(p)
     p.add_argument("--frame", type=int, default=None)
-    p.add_argument("--image-step", type=int, default=12)
-    p.add_argument("--image-window", type=int, default=48)
+    p.add_argument("--image-step", type=int, default=imaging.DEFAULT_IMAGE_STEP)
+    p.add_argument("--image-window", type=int, default=imaging.DEFAULT_IMAGE_WINDOW)
     p.add_argument("--scales", type=int, default=3)
-    p.add_argument("--voxel-size", type=float, default=0.05)
+    p.add_argument("--voxel-size", type=float, default=voxels.DEFAULT_VOXEL_SIZE)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="write fused maps to this .npz")
     p.set_defaults(func=_cmd_lift)

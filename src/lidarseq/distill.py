@@ -84,7 +84,6 @@ def shared_selection(
 def distill_loss(
     student: VoxelFeatureMap,
     teacher: VoxelFeatureMap,
-    selection: SharedVoxelSelection | None = None,
     mode: str = "mean",
 ) -> float:
     """L2 feature-matching loss over voxels present in both maps.
@@ -100,8 +99,7 @@ def distill_loss(
         )
     if mode not in ("mean", "frobenius"):
         raise ConfigurationError(f"unknown distillation mode {mode!r}")
-    if selection is None:
-        selection = shared_selection(student, teacher)
+    selection = shared_selection(student, teacher)
     if selection.count == 0:
         return 0.0
     diff = student.features[selection.student_index] - teacher.features[selection.teacher_index]

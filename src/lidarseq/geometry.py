@@ -138,10 +138,6 @@ class PointCloud:
     def count(self) -> int:
         return self.xyz.shape[0]
 
-    @classmethod
-    def empty(cls) -> "PointCloud":
-        return cls(np.zeros((0, 3)), np.zeros(0))
-
 
 @dataclass(frozen=True)
 class LabeledCloud:
@@ -167,10 +163,6 @@ class LabeledCloud:
     @property
     def count(self) -> int:
         return self.cloud.count
-
-    @classmethod
-    def empty(cls) -> "LabeledCloud":
-        return cls(PointCloud.empty(), np.zeros(0, np.int64), np.zeros(0, np.int64))
 
 
 def transform_points(pose: Pose, cloud: PointCloud) -> PointCloud:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregation import AggregatedCloud, _index_frames, _source_frame, step_offsets
+from .aggregation import AggregatedCloud, _index_frames, _is_whole, _source_frame, sampled_offsets
 from .errors import ConfigurationError, FormatError, InvalidInputError
-from .geometry import LabeledCloud, PointCloud, relative_pose
+from .geometry import relative_pose
 from .sequence import CameraCalib, SequenceFrame
 from .voxels import (
     DEFAULT_VOXEL_SIZE,
@@ -105,10 +105,6 @@ class PointImageFeatures:
 def _as_xyz(points) -> np.ndarray:
     if isinstance(points, AggregatedCloud):
         return points.labeled.cloud.xyz
-    if isinstance(points, LabeledCloud):
-        return points.cloud.xyz
-    if isinstance(points, PointCloud):
-        return points.xyz
     xyz = np.asarray(points, dtype=np.float64)
     if xyz.ndim != 2 or xyz.shape[1] != 3:
         raise InvalidInputError("expected an (N, 3) array of points")
@@ -197,16 +193,10 @@ def lift_features(
     )
 
 
-def _calib_for(calibs, position: int) -> CameraCalib:
-    if isinstance(calibs, CameraCalib):
-        return calibs
-    return calibs[position]
-
-
 def aggregate_image_features(
     frames: Sequence[SequenceFrame],
-    images,
-    calibs,
+    images: Mapping[int, ImageFeatureMap],
+    calib: CameraCalib,
     t: int,
     step: int = DEFAULT_IMAGE_STEP,
     window: int = DEFAULT_IMAGE_WINDOW,
@@ -215,47 +205,36 @@ def aggregate_image_features(
 ) -> PointImageFeatures:
     """Lift the present frame and each temporal sample, all in present coords.
 
-    The image for frame index j is taken from ``images``, keyed the same way
-    ``frames`` is ordered (a mapping from frame index or a parallel
-    sequence); ``calibs`` may be one shared calibration or per-frame.
-    Offsets reaching past the first frame are silently truncated, matching
-    the point-cloud aggregation rule.
+    The frames lifted are the ones the point sampler reads with the single
+    step ``step``: t, then t - i*step for i = 1..floor(window / step), with
+    offsets reaching past the first given frame truncated. ``images`` maps
+    each of those frame indices to its image; one ``calib`` serves every
+    frame. Rows come present frame first, then by ascending offset.
     """
-    if step < 1 or int(step) != step:
+    if not _is_whole(step) or step < 1:
         raise InvalidInputError(f"image step must be a positive integer, got {step!r}")
-    if window < 0 or int(window) != window:
+    if not _is_whole(window) or window < 0:
         raise InvalidInputError(f"image window must be a non-negative integer, got {window!r}")
     by_index = _index_frames(frames, t)
-    positions = {frame.index: pos for pos, frame in enumerate(frames)}
-
-    def image_for(index: int) -> ImageFeatureMap:
-        if hasattr(images, "keys"):
-            try:
-                return images[index]
-            except KeyError:
-                raise InvalidInputError(f"no image provided for frame {index}") from None
-        return images[positions[index]]
-
     present = by_index[t]
-    parts = [lift_features(present, image_for(t), _calib_for(calibs, positions[t]), z_min, bilinear)]
-    for offset in step_offsets(step, window):
+    xyz, features, source = [], [], []
+    for offset in [0, *sampled_offsets([step], min(window, t - min(by_index)))]:
         frame = _source_frame(by_index, t, offset)
-        if frame is None:
-            continue
-        lifted = lift_features(
-            frame, image_for(frame.index), _calib_for(calibs, positions[frame.index]), z_min, bilinear
-        )
-        mover = relative_pose(present.pose, frame.pose)
-        parts.append(
-            PointImageFeatures(mover.apply(lifted.xyz), lifted.features, lifted.source_frame)
-        )
-    widths = {p.channels for p in parts}
+        try:
+            image = images[frame.index]
+        except KeyError:
+            raise InvalidInputError(f"no image provided for frame {frame.index}") from None
+        lifted = lift_features(frame, image, calib, z_min, bilinear)
+        xyz.append(relative_pose(present.pose, frame.pose).apply(lifted.xyz) if offset else lifted.xyz)
+        features.append(lifted.features)
+        source.append(lifted.source_frame)
+    widths = {f.shape[1] for f in features}
     if len(widths) > 1:
         raise ConfigurationError(f"images disagree on channel count: {sorted(widths)}")
     return PointImageFeatures(
-        np.concatenate([p.xyz for p in parts], axis=0),
-        np.concatenate([p.features for p in parts], axis=0),
-        np.concatenate([p.source_frame for p in parts], axis=0),
+        np.concatenate(xyz, axis=0),
+        np.concatenate(features, axis=0),
+        np.concatenate(source, axis=0),
     )
 
 
@@ -264,7 +243,6 @@ def fuse_to_voxels(
     scales: int = 3,
     seed: int = 0,
     voxel_size: float = DEFAULT_VOXEL_SIZE,
-    origin=(0.0, 0.0, 0.0),
     kernel: np.ndarray | None = None,
 ) -> list[VoxelFeatureMap]:
     """Voxelize lifted features and fuse them into a multi-scale pyramid.
@@ -283,7 +261,7 @@ def fuse_to_voxels(
             return apply_fixed_kernel(vmap, kernel)
         return apply_fixed_kernel(vmap, seed=seed + level)
 
-    current = voxelize(agg.xyz, agg.features, voxel_size, origin)
+    current = voxelize(agg.xyz, agg.features, voxel_size)
     pyramid = [convolved(current, 0)]
     for level in range(1, scales):
         current = downsample(pyramid[-1])
@@ -294,9 +272,9 @@ def fuse_to_voxels(
 def temporal_multimodal_gather(points, fused: Sequence[VoxelFeatureMap]) -> np.ndarray:
     """Per-point image features gathered from every scale and concatenated.
 
-    ``points`` may be an AggregatedCloud, a labeled or plain cloud, or a raw
-    (N, 3) array. Output width is scales x C; a scale with no occupied
-    neighbors around a point contributes zeros there.
+    ``points`` may be an AggregatedCloud or a raw (N, 3) array. Output
+    width is scales x C; a scale with no occupied neighbors around a point
+    contributes zeros there.
     """
     if not fused:
         raise ConfigurationError("no fused maps given")

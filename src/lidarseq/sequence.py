@@ -130,7 +130,10 @@ def _decode_points(raw: bytes, path: Path) -> PointCloud:
             f"{POINT_RECORD_BYTES}-byte point records"
         )
     data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    return PointCloud(data[:, :3], data[:, 3])
+    try:
+        return PointCloud(data[:, :3], data[:, 3])
+    except InvalidInputError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _decode_labels(raw: bytes, count: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -172,10 +175,11 @@ def load_sequence(
     tr = Pose(calib["Tr"])
     tr_inv = invert(tr)
 
+    count = len(pose_rows)
     times_path = seq_dir / "times.txt"
     times = _parse_times(times_path) if times_path.exists() else None
-
-    count = len(pose_rows)
+    if times is not None and len(times) != count:
+        raise FormatError(f"{times_path}: {len(times)} times for {count} frames in poses.txt")
     if indices is not None:
         if window is not None:
             raise InvalidInputError("pass a window or frame indices, not both")

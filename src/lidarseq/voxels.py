@@ -96,9 +96,6 @@ class VoxelFeatureMap:
     def width(self) -> int:
         return self.features.shape[1]
 
-    def voxel_centers(self) -> np.ndarray:
-        return self.origin + (self.coords.astype(np.float64) + 0.5) * self.voxel_size
-
 
 def _mean_reduce(coords: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse duplicate coordinates, averaging their feature rows."""
@@ -120,7 +117,6 @@ def voxelize(
     features: np.ndarray,
     voxel_size: float = DEFAULT_VOXEL_SIZE,
     origin=(0.0, 0.0, 0.0),
-    scale_level: int = 0,
 ) -> VoxelFeatureMap:
     """Quantize points to voxels; co-located feature rows are averaged."""
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
@@ -138,7 +134,7 @@ def voxelize(
     origin_arr = np.asarray(origin, dtype=np.float64).reshape(3)
     coords = np.floor((xyz - origin_arr) / voxel_size).astype(np.int64)
     coords, pooled = _mean_reduce(coords, features)
-    return VoxelFeatureMap(voxel_size, origin_arr, coords, pooled, scale_level)
+    return VoxelFeatureMap(voxel_size, origin_arr, coords, pooled)
 
 
 def downsample(vmap: VoxelFeatureMap) -> VoxelFeatureMap:
@@ -164,8 +160,6 @@ def gather_trilinear(vmap: VoxelFeatureMap, query_xyz: np.ndarray) -> np.ndarray
         raise InvalidInputError("query points contain non-finite values")
     m = query_xyz.shape[0]
     out = np.zeros((m, vmap.width))
-    if m == 0 or vmap.count == 0:
-        return out
     # Continuous position in "center units": voxel center c sits at u = c.
     u = (query_xyz - vmap.origin) / vmap.voxel_size - 0.5
     base = np.floor(u).astype(np.int64)

@@ -6,6 +6,7 @@ implementation masks first, so agreement is meaningful.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +145,14 @@ class TestAggregateDirect:
     def test_negative_window_is_rejected(self):
         with pytest.raises(InvalidInputError):
             aggregate_direct(scene(), 5, -1)
+
+    def test_non_finite_window_is_rejected(self):
+        frames = scene()
+        for bad in (math.inf, -math.inf, math.nan, 2.5):
+            with pytest.raises(InvalidInputError, match="window must be a non-negative integer"):
+                aggregate_direct(frames, 5, bad)
+            with pytest.raises(InvalidInputError, match="window must be a non-negative integer"):
+                aggregate_stepped(frames, 5, bad, 2)
 
 
 class TestAggregateStepped:
@@ -426,6 +435,17 @@ class TestDivisions:
             ClassGroup(frozenset({1}), 2.5)
         with pytest.raises(ConfigurationError):
             GroupDivision((ClassGroup(frozenset({1}), 2),), window=0)
+
+    def test_non_finite_windows_and_multipliers_are_rejected(self):
+        division = GroupDivision((ClassGroup(frozenset({1}), 2),))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="window must be a positive integer"):
+                GroupDivision(division.groups, window=bad)
+            with pytest.raises(ConfigurationError, match="window must be a positive integer"):
+                division.with_window(bad)
+            with pytest.raises(ConfigurationError, match="near_step_multiplier"):
+                DistanceSplit(threshold_m=10.0, near_step_multiplier=bad)
+        assert division.with_window(5.0).window == 5
 
     def test_class_ids_outside_the_label_field_are_rejected(self):
         for bad in (-1, 65536):

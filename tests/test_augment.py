@@ -210,17 +210,6 @@ class TestStaticToMoving:
         d = np.diff(moved.centroids, axis=0)[0]
         assert d[0] == 0.0 and d[2] == 0.0 and d[1] != 0.0
 
-    def test_vertical_comparison_flag_switches_the_reading(self):
-        rng = np.random.default_rng(10)
-        # y is the longest horizontal extent but x still beats the vertical
-        track = make_track(rng, [(0, 0, 0)] * 3, spread=(1.5, 3.0, 0.5))
-        by_horizontal = static_to_moving(track, EMPTY_SCENE, self.anchors_at((0, 0, 0)), seed=3)
-        assert np.diff(by_horizontal.centroids, axis=0)[0][0] == 0.0
-        by_vertical = static_to_moving(
-            track, EMPTY_SCENE, self.anchors_at((0, 0, 0)), seed=3, compare_with_vertical=True
-        )
-        assert np.diff(by_vertical.centroids, axis=0)[0][1] == 0.0
-
     def test_quietest_anchor_wins(self):
         rng = np.random.default_rng(11)
         track = make_track(rng, [(0, 0, 0)] * 3)

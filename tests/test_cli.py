@@ -18,12 +18,23 @@ from lidarseq.aggregation import (
     division_preset,
     load_division,
 )
-from lidarseq.augment import classify_motion, extract_track
+from lidarseq.augment import (
+    DEFAULT_MOTION_THRESHOLD,
+    DEFAULT_RING_RADIUS,
+    classify_motion,
+    extract_track,
+)
 from lidarseq.cli import main
 from lidarseq.errors import ConfigurationError
-from lidarseq.imaging import aggregate_image_features, fuse_to_voxels, read_image
+from lidarseq.imaging import (
+    DEFAULT_IMAGE_STEP,
+    DEFAULT_IMAGE_WINDOW,
+    aggregate_image_features,
+    fuse_to_voxels,
+    read_image,
+)
 from lidarseq.sequence import corrupt_labels, load_camera_calib, load_sequence
-from lidarseq.voxels import load_voxel_maps
+from lidarseq.voxels import DEFAULT_VOXEL_SIZE, load_voxel_maps
 
 SPEC = {
     "frame_count": 6,
@@ -70,6 +81,17 @@ class TestTopLevel:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_defaults_come_from_the_library_constants(self):
+        parser = cli.build_parser()
+        lift = parser.parse_args(["lift", "--synth", "s.yaml"])
+        assert lift.image_step == DEFAULT_IMAGE_STEP
+        assert lift.image_window == DEFAULT_IMAGE_WINDOW
+        assert lift.voxel_size == DEFAULT_VOXEL_SIZE
+        switch = parser.parse_args(["augment", "--synth", "s.yaml", "--instance", "1",
+                                    "--switch", "moving-to-static", "--out", "o"])
+        assert switch.threshold == DEFAULT_MOTION_THRESHOLD
+        assert switch.ring_radius == DEFAULT_RING_RADIUS
 
 
 class TestSynth:
@@ -158,6 +180,7 @@ class TestAggregate:
             "yaml_syntax": ("groups: [\n", "not valid YAML"),
             "bad_window": ("window: abc\ngroups:\n" + good, "invalid literal for int"),
             "fractional_window": ("window: 2.5\ngroups:\n" + good, "window must be an integer"),
+            "inf_window": ("window: .inf\ngroups:\n" + good, "window must be an integer"),
         }
         for name, (text, where) in cases.items():
             path = tmp_path / f"{name}.yaml"
@@ -169,6 +192,20 @@ class TestAggregate:
             assert code == 1
             err = capsys.readouterr().err
             assert path.name in err and where in err
+
+    def test_malformed_sequence_files_are_data_errors(self, seq_dir, capsys):
+        times = seq_dir / "times.txt"
+        listed = times.read_text().splitlines()
+        times.write_text("\n".join(listed[:-1]) + "\n")
+        assert main(["aggregate", "--sequence", str(seq_dir)]) == 2
+        assert "times.txt: 5 times for 6 frames" in capsys.readouterr().err
+        times.write_text("\n".join(listed) + "\n")
+        target = seq_dir / "velodyne" / "000005.bin"
+        data = np.frombuffer(target.read_bytes(), dtype="<f4").reshape(-1, 4).copy()
+        data[0, 3] = -0.5
+        target.write_bytes(data.tobytes())
+        assert main(["aggregate", "--sequence", str(seq_dir)]) == 2
+        assert "000005.bin: intensity values must lie in [0, 1]" in capsys.readouterr().err
 
     def test_missing_sequence_dir_is_a_data_error(self, tmp_path):
         assert main(["aggregate", "--sequence", str(tmp_path / "nope")]) == 2

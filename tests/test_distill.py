@@ -171,12 +171,6 @@ class TestDistillLoss:
         a, b, c = maps
         assert distill_loss(a, c) <= distill_loss(a, b) + distill_loss(b, c) + 1e-12
 
-    def test_explicit_selection_is_honored(self):
-        rng = np.random.default_rng(10)
-        a, b = random_pair(rng)
-        sel = shared_selection(a, b)
-        assert distill_loss(a, b, selection=sel) == distill_loss(a, b)
-
     def test_frobenius_mode(self):
         student = make_map([[0, 0, 0], [1, 0, 0]], [[3.0], [0.0]])
         teacher = make_map([[0, 0, 0], [1, 0, 0]], [[0.0], [4.0]])

@@ -130,7 +130,6 @@ class TestPointContainers:
     def test_cloud_shape_and_count(self):
         cloud = PointCloud(np.zeros((4, 3)), np.full(4, 0.5))
         assert cloud.count == 4
-        assert PointCloud.empty().count == 0
 
     def test_cloud_rejects_nan_coordinates(self):
         xyz = np.zeros((2, 3))

@@ -257,6 +257,15 @@ class TestAggregateImageFeatures:
         with pytest.raises(InvalidInputError):
             aggregate_image_features(frames, images, CALIB, t=2, step=0)
 
+    def test_non_finite_step_and_window_rejected(self):
+        frames = make_frames(frame_count=3)
+        images = frame_images(frames)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="image step must be a positive integer"):
+                aggregate_image_features(frames, images, CALIB, t=2, step=bad)
+            with pytest.raises(InvalidInputError, match="image window must be a non-negative"):
+                aggregate_image_features(frames, images, CALIB, t=2, window=bad)
+
 
 class TestFuseToVoxels:
     def agg(self, seed=5):

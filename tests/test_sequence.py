@@ -151,6 +151,28 @@ class TestFormatErrors:
         with pytest.raises(FormatError, match="Tr"):
             load_sequence(seq_dir)
 
+    def test_times_count_must_match_the_poses(self, seq_dir):
+        times = seq_dir / "times.txt"
+        lines = times.read_text().splitlines()
+        for listed in (lines[:-2], lines + ["99.0"]):
+            times.write_text("\n".join(listed) + "\n")
+            pattern = rf"times\.txt: {len(listed)} times for {len(lines)} frames"
+            with pytest.raises(FormatError, match=pattern):
+                load_sequence(seq_dir)
+            with pytest.raises(FormatError, match=pattern):
+                load_sequence(seq_dir, window=(0, 1))
+
+    def test_bad_point_values_name_the_file(self, seq_dir):
+        target = seq_dir / "velodyne" / "000002.bin"
+        original = np.frombuffer(target.read_bytes(), dtype="<f4").reshape(-1, 4)
+        for column, value, reason in ((1, np.nan, "non-finite"), (3, 1.5, r"\[0, 1\]")):
+            data = original.copy()
+            data[3, column] = value
+            target.write_bytes(data.tobytes())
+            with pytest.raises(FormatError, match=rf"000002\.bin: .*{reason}"):
+                load_sequence(seq_dir)
+            assert len(load_sequence(seq_dir, window=(0, 1))) == 2
+
     def test_window_outside_sequence_is_rejected(self, seq_dir):
         with pytest.raises(InvalidInputError):
             load_sequence(seq_dir, window=(2, 99))
