@@ -15,7 +15,6 @@ from .aggregation import (
     division_preset,
     load_division,
     resolve_division,
-    step_offsets,
 )
 from .augment import (
     DEFAULT_CLASS_PAIRS,

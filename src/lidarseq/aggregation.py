@@ -7,11 +7,13 @@ class a sampling step; a group with step s contributes the frames
 ``t - i*s`` for i = 1..floor(window / s), and the infinite step contributes
 nothing (the class is covered by the present sweep alone).
 
-Direct, stepped and flexible-step aggregation share one frame loop. A
+Direct, stepped and flexible-step aggregation, and image lifting, share one
+frame walk: frame t, then t - o for each offset o some step divides
+(``sampled_frames``). A division without a default group walks every offset
+of its window, so each of those frames is checked for unmapped classes. A
 lookup table over the 16-bit label field gives every point the step of its
 class's group (unmapped classes take the division's default step, near
-points of a distance-split group the near step). The loop visits only the
-offsets some step divides (``sampled_offsets``), and a point at offset k is
+points of a distance-split group the near step), and a point at offset k is
 kept when its step divides k. Only kept rows are moved. Rows come out in a
 fixed order: the present sweep, then past sweeps by ascending offset, each
 in its source order.
@@ -159,7 +161,37 @@ class AggregatedCloud:
         return self.labeled.count
 
 
-def _index_frames(frames: Sequence[SequenceFrame], t: int) -> dict[int, SequenceFrame]:
+def sampled_offsets(steps, window: int) -> list[int]:
+    """Window offsets sampled by any of ``steps``, ascending: i*s for each
+    step s and i = 1..floor(window / s); the infinite step samples none."""
+    if not _is_whole(window):
+        raise InvalidInputError(f"window must be an integer, got {window!r}")
+    offsets = set()
+    for step in map(_check_step, steps):
+        if step != INFINITE_STEP:
+            offsets.update(range(int(step), int(window) + 1, int(step)))
+    return sorted(offsets)
+
+
+def sampled_frames(t: int, steps, window: int, first: int = 0) -> list[int]:
+    """The frames a sampler with ``steps`` reads: t, then t - o for each
+    sampled offset o, ascending; offsets reaching before ``first`` are
+    truncated."""
+    return [t, *(t - o for o in sampled_offsets(steps, min(window, t - first)))]
+
+
+def walked_steps(groups: Sequence[ClassGroup], default_step: float | None) -> list[float]:
+    """Steps whose offsets aggregation walks. A near step is a multiple of its
+    group's step and adds no offset; without a default group every offset is
+    walked, so that each frame of the window is checked for unmapped classes."""
+    if default_step is None:
+        return [1]
+    return [g.step for g in groups] + [default_step]
+
+
+def _walk(frames: Sequence[SequenceFrame], t: int, steps, window: int):
+    """Frame t with pose None, then each frame ``sampled_frames`` names with
+    its pose into frame t. The one frame walk behind every sampler."""
     if not frames:
         raise InvalidInputError("no frames given")
     by_index: dict[int, SequenceFrame] = {}
@@ -169,35 +201,18 @@ def _index_frames(frames: Sequence[SequenceFrame], t: int) -> dict[int, Sequence
         by_index[frame.index] = frame
     if t not in by_index:
         raise InvalidInputError(f"reference frame {t} is not among the given frames")
-    return by_index
-
-
-def _source_frame(by_index: Mapping[int, SequenceFrame], t: int, offset: int) -> SequenceFrame:
-    """Frame at t - offset, which callers keep at or after the first frame."""
-    target = t - offset
-    if target not in by_index:
-        raise InvalidInputError(
-            f"frame {target} is required for aggregation at t={t} but missing"
-        )
-    return by_index[target]
-
-
-def step_offsets(step: float, window: int) -> list[int]:
-    """Window offsets sampled by a step: i*step for i = 1..floor(window/step)."""
-    if step == INFINITE_STEP:
-        return []
-    s = int(step)
-    return [i * s for i in range(1, int(window) // s + 1)]
-
-
-def sampled_offsets(steps, window: int) -> list[int]:
-    """Window offsets sampled by any of ``steps``, ascending: the past frames
-    an aggregation with these steps reads."""
-    return sorted({offset for step in steps for offset in step_offsets(_check_step(step), window)})
+    present = by_index[t]
+    yield present, None
+    for index in sampled_frames(t, steps, window, min(by_index))[1:]:
+        if index not in by_index:
+            raise InvalidInputError(
+                f"frame {index} is required for aggregation at t={t} but missing"
+            )
+        yield by_index[index], relative_pose(present.pose, by_index[index].pose)
 
 
 def _aggregate(
-    by_index: Mapping[int, SequenceFrame],
+    frames: Sequence[SequenceFrame],
     t: int,
     window: int,
     groups: Sequence[ClassGroup],
@@ -226,29 +241,27 @@ def _aggregate(
     thresholds = np.array(splits + [0.0]).repeat(2)
     uniform = bool((steps == steps[0]).all())
 
-    if default_step is None:
-        for frame in (f for f in by_index.values() if t - window <= f.index <= t):
-            semantic = frame.labeled.semantic
-            unmapped = np.take(table, semantic + 1, mode="clip") == 2 * default
-            if unmapped.any():
-                missing = sorted(np.unique(semantic[unmapped]).tolist())
-                raise ConfigurationError(
-                    f"classes {missing} in frame {frame.index} are not assigned to "
-                    f"any group and the division has no default group"
-                )
-
-    present = by_index[t]
     # (frame, kept rows, rows moved into frame t, step tags), present first
-    parts = [(present, slice(None), present.labeled.cloud.xyz, np.zeros(present.count, np.int64))]
-    # offsets reaching before the first frame are truncated
-    for offset in sampled_offsets(steps, min(window, t - min(by_index))):
-        keep = offset % steps == 0  # per code; the infinite step never divides
-        frame = _source_frame(by_index, t, offset)
-        xyz = frame.labeled.cloud.xyz
+    parts = []
+    for frame, pose in _walk(frames, t, walked_steps(groups, default_step), window):
+        xyz, semantic = frame.labeled.cloud.xyz, frame.labeled.semantic
+        if default_step is None or (pose is not None and not uniform):
+            code = np.take(table, semantic + 1, mode="clip")
+        if default_step is None and (code == 2 * default).any():
+            missing = sorted(np.unique(semantic[code == 2 * default]).tolist())
+            raise ConfigurationError(
+                f"classes {missing} in frame {frame.index} are not assigned to "
+                f"any group and the division has no default group"
+            )
+        if pose is None:
+            parts.append((frame, slice(None), xyz, np.zeros(frame.count, np.int64)))
+            continue
+        keep = (t - frame.index) % steps == 0  # per code; the infinite step never divides
+        if not keep.any():  # walked only for the unmapped-class check
+            continue
         if uniform:
             rows, step_tags = slice(None), np.full(frame.count, tags[0])
         else:
-            code = np.take(table, frame.labeled.semantic + 1, mode="clip")
             if (keep & (thresholds > 0)).any():
                 # range in the sweep's own sensor frame, once per frame
                 code += np.linalg.norm(xyz, axis=1) < thresholds[code]
@@ -256,8 +269,7 @@ def _aggregate(
             step_tags = tags[code[rows]]
             if step_tags.shape[0] == 0:
                 continue
-        moved = relative_pose(present.pose, frame.pose).apply(xyz[rows])
-        parts.append((frame, rows, moved, step_tags))
+        parts.append((frame, rows, pose.apply(xyz[rows]), step_tags))
 
     def column(get):
         return np.concatenate([get(frame.labeled)[rows] for frame, rows, _, _ in parts])
@@ -277,7 +289,7 @@ def _aggregate(
 
 def aggregate_direct(frames: Sequence[SequenceFrame], t: int, window: int) -> AggregatedCloud:
     """Plain dense aggregation: every sweep in [t - window, t], no filtering."""
-    return _aggregate(_index_frames(frames, t), t, window, (), 1)
+    return _aggregate(frames, t, window, (), 1)
 
 
 def aggregate_stepped(
@@ -285,7 +297,7 @@ def aggregate_stepped(
 ) -> AggregatedCloud:
     """Uniform stepped aggregation of all classes: frames t - i*step."""
     step = _check_step(step)
-    return _aggregate(_index_frames(frames, t), t, window, (), step)
+    return _aggregate(frames, t, window, (), step)
 
 
 def aggregate_fsa(
@@ -296,8 +308,7 @@ def aggregate_fsa(
     Classes are looked up on each source sweep's own labels and the kept
     rows are picked before the pose transform, so only they are moved.
     """
-    by_index = _index_frames(frames, t)
-    return _aggregate(by_index, t, division.window, division.groups, division.default_step)
+    return _aggregate(frames, t, division.window, division.groups, division.default_step)
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +487,14 @@ def load_division(path) -> GroupDivision:
         window = raw.get("window", DEFAULT_WINDOW)
         if not _is_whole(window):
             raise ValueError(f"window must be an integer, got {window!r}")
-    except (TypeError, ValueError) as exc:
+        return GroupDivision(
+            tuple(groups),
+            window=window,
+            default_step=default_step,
+            name=str(raw.get("name", Path(path).stem)),
+        )
+    except (TypeError, ValueError) as exc:  # ConfigurationError is a ValueError
         raise ConfigurationError(f"{path}: {exc}") from None
-    return GroupDivision(
-        tuple(groups),
-        window=window,
-        default_step=default_step,
-        name=str(raw.get("name", Path(path).stem)),
-    )
 
 
 def resolve_division(spec: str, window: int | None = None) -> GroupDivision:

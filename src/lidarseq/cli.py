@@ -15,23 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregation, augment, bench, imaging, voxels
-from .aggregation import (
-    AggregatedCloud,
-    aggregate_direct,
-    aggregate_fsa,
-    aggregate_stepped,
-    sampled_offsets,
-)
+from .aggregation import AggregatedCloud, aggregate_direct, aggregate_fsa, aggregate_stepped
 from .augment import apply_switch, classify_motion, extract_track, moving_to_static, ring_anchors, static_to_moving
 from .distill import distill_loss
-from .errors import (
-    ConfigurationError,
-    FormatError,
-    InvalidInputError,
-    InvalidSpecError,
-    NotAugmentableError,
-    UsageError,
-)
+from .errors import ConfigurationError, FormatError, InvalidInputError, LidarSeqError, UsageError
 from .geometry import LabeledCloud, PointCloud, relative_pose
 from .imaging import (
     aggregate_image_features,
@@ -41,7 +28,6 @@ from .imaging import (
     write_image,
 )
 from .sequence import (
-    SequenceFrame,
     corrupt_labels,
     generate_synthetic,
     load_camera_calib,
@@ -52,17 +38,8 @@ from .sequence import (
 )
 from .voxels import load_voxel_maps, save_voxel_maps
 
-DATA_ERRORS = (
-    FormatError,
-    InvalidInputError,
-    InvalidSpecError,
-    ConfigurationError,
-    NotAugmentableError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-    OSError,
-)
+# UsageError is caught before these
+DATA_ERRORS = (LidarSeqError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,33 +71,55 @@ def _reference_frame(requested: int | None, count: int) -> int:
     return requested
 
 
-def _load_source(args, steps=None, window: int = 0) -> tuple[list[SequenceFrame], object, int]:
-    """Frames, a camera calibration (None when unavailable) and the reference frame t.
+def _frame_image(seq_dir: Path, index: int):
+    stem = seq_dir / "image_2" / f"{index:06d}"
+    for suffix in (".ppm", ".pgm", ".fmap"):
+        candidate = stem.with_suffix(suffix)
+        if candidate.exists():
+            return read_image(candidate)
+    raise InvalidInputError(f"no image for frame {index} under {seq_dir / 'image_2'}")
 
-    A sequence directory decodes only frame t and the frames t - o for the
-    offsets o <= window that one of ``steps`` divides and that reach frame
-    0 or later, or every frame when steps is None. Offsets reaching before
-    the first loaded frame are truncated exactly as at the start of a
-    sequence, and the samplers read no other offset, so the result does not
-    depend on what is not loaded. A synthetic scene is generated whole.
+
+class _ImagesOnDemand(dict):
+    """Frame index -> image, read the first time the lifting asks for it."""
+
+    def __init__(self, read):
+        super().__init__()
+        self._read = read
+
+    def __missing__(self, index):
+        image = self[index] = self._read(index)
+        return image
+
+
+def _load_source(args, steps=None, window: int = 0):
+    """Frames, a camera calibration (None when unavailable), the reference
+    frame t and the frame images, each read the first time it is asked for.
+
+    A sequence directory decodes only the frames a sampler with ``steps``
+    and ``window`` reads at t (``aggregation.sampled_frames``), or every
+    frame when steps is None; its images come from ``image_2``. Offsets
+    reaching before the first loaded frame are truncated exactly as at the
+    start of a sequence, so the result does not depend on what is not
+    loaded. A synthetic scene is generated whole, with the images ``synth``
+    writes for it.
     """
     if args.sequence:
         seq_dir = Path(args.sequence)
         t = _reference_frame(args.frame, sequence_length(seq_dir))
-        indices = None
-        if steps is not None:
-            indices = [t, *(t - o for o in sampled_offsets(steps, min(window, t)))]
+        indices = None if steps is None else aggregation.sampled_frames(t, steps, window)
         frames = load_sequence(seq_dir, indices=indices)
         try:
             calib = load_camera_calib(seq_dir)
         except (FormatError, InvalidInputError):
             calib = None
-        return frames, calib, t
+        return frames, calib, t, _ImagesOnDemand(lambda index: _frame_image(seq_dir, index))
     spec = load_scene_spec(args.synth)
     if getattr(args, "seed", None) is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    frames = generate_synthetic(spec)
-    return frames, spec.camera.calib(), _reference_frame(args.frame, len(frames))
+    frames, calib = generate_synthetic(spec), spec.camera.calib()
+    images = _ImagesOnDemand(lambda index: synthetic_feature_image(calib, index, seed=spec.seed))
+    return frames, calib, _reference_frame(args.frame, len(frames)), images
 
 
 def _corrupted_past(frames, t: int, rate: float, seed: int):
@@ -173,16 +172,11 @@ def _cmd_aggregate(args) -> int:
         # --window overrides the division's own window only when given
         division = _resolve_division(args.division, args.window)
         window = division.window
-        if division.default_step is None:
-            # the kernel checks every frame in the window for unmapped classes
-            steps = [1]
-        else:
-            # a near step is a multiple of its group's step and adds no offset
-            steps = [g.step for g in division.groups] + [division.default_step]
+        steps = aggregation.walked_steps(division.groups, division.default_step)
     else:
         window = aggregation.DEFAULT_WINDOW if args.window is None else args.window
         steps = [args.step if args.strategy == "stepped" else 1]
-    frames, _, t = _load_source(args, steps, window)
+    frames, _, t, _ = _load_source(args, steps, window)
     frames = _corrupted_past(frames, t, args.label_error_rate, args.seed or 0)
     if args.strategy == "direct":
         agg = aggregate_direct(frames, t, window)
@@ -201,7 +195,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    frames, calib, t = _load_source(args)
+    frames, calib, t, _ = _load_source(args)
     first = min(f.index for f in frames)
     agg = aggregate_direct(frames, t, t - first)
     track = extract_track(agg, args.instance)
@@ -241,41 +235,13 @@ def _cmd_augment(args) -> int:
     return 0
 
 
-def _frame_image(seq_dir: Path, index: int):
-    stem = seq_dir / "image_2" / f"{index:06d}"
-    for suffix in (".ppm", ".pgm", ".fmap"):
-        candidate = stem.with_suffix(suffix)
-        if candidate.exists():
-            return read_image(candidate)
-    raise InvalidInputError(f"no image for frame {index} under {seq_dir / 'image_2'}")
-
-
-class _ImagesOnDemand(dict):
-    """Frame index -> image, read the first time the lifting asks for it."""
-
-    def __init__(self, read):
-        super().__init__()
-        self._read = read
-
-    def __missing__(self, index):
-        image = self[index] = self._read(index)
-        return image
-
-
 def _cmd_lift(args) -> int:
     # only the present frame and the sampled t - offset frames are read; a
     # step the lifting rejects loads t alone and the library reports it
     steps = [args.image_step] if args.image_step > 0 else []
-    frames, calib, t = _load_source(args, steps, args.image_window)
+    frames, calib, t, images = _load_source(args, steps, args.image_window)
     if calib is None:
         raise InvalidInputError("no camera calibration available; cannot project")
-    if args.sequence:
-        seq_dir = Path(args.sequence)
-        images = _ImagesOnDemand(lambda index: _frame_image(seq_dir, index))
-    else:
-        images = _ImagesOnDemand(
-            lambda index: synthetic_feature_image(calib, index, seed=args.seed or 0)
-        )
     lifted = aggregate_image_features(
         frames, images, calib, t, step=args.image_step, window=args.image_window
     )
@@ -318,7 +284,7 @@ def _parse_window(entry: str) -> int:
 def _cmd_bench(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     windows = [_parse_window(w) for w in args.windows.split(",") if w.strip()]
-    frames, _, t = _load_source(args, [1], max(windows, default=0))
+    frames, _, t, _ = _load_source(args, [1], max(windows, default=0))
     division = None
     if any(s == "fsa" for s in strategies):
         division = _resolve_division(args.division)

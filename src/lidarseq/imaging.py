@@ -22,9 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregation import AggregatedCloud, _index_frames, _is_whole, _source_frame, sampled_offsets
+from .aggregation import AggregatedCloud, _is_whole, _walk
 from .errors import ConfigurationError, FormatError, InvalidInputError
-from .geometry import relative_pose
 from .sequence import CameraCalib, SequenceFrame
 from .voxels import (
     DEFAULT_VOXEL_SIZE,
@@ -215,17 +214,14 @@ def aggregate_image_features(
         raise InvalidInputError(f"image step must be a positive integer, got {step!r}")
     if not _is_whole(window) or window < 0:
         raise InvalidInputError(f"image window must be a non-negative integer, got {window!r}")
-    by_index = _index_frames(frames, t)
-    present = by_index[t]
     xyz, features, source = [], [], []
-    for offset in [0, *sampled_offsets([step], min(window, t - min(by_index)))]:
-        frame = _source_frame(by_index, t, offset)
+    for frame, pose in _walk(frames, t, [step], window):
         try:
             image = images[frame.index]
         except KeyError:
             raise InvalidInputError(f"no image provided for frame {frame.index}") from None
         lifted = lift_features(frame, image, calib, z_min, bilinear)
-        xyz.append(relative_pose(present.pose, frame.pose).apply(lifted.xyz) if offset else lifted.xyz)
+        xyz.append(lifted.xyz if pose is None else pose.apply(lifted.xyz))
         features.append(lifted.features)
         source.append(lifted.source_frame)
     widths = {f.shape[1] for f in features}

@@ -531,7 +531,10 @@ def load_scene_spec(path) -> SyntheticSceneSpec:
     """Parse a YAML scene spec; keys mirror the SyntheticSceneSpec fields."""
     import yaml  # only a scene spec needs it; keeps CLI start-up short
 
-    raw = yaml.safe_load(Path(path).read_text())
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        raise InvalidSpecError(f"{path}: not valid YAML ({exc})") from None
     if not isinstance(raw, dict):
         raise InvalidSpecError(f"{path}: expected a mapping at top level")
     return scene_spec_from_mapping(raw, where=str(path))
@@ -578,7 +581,7 @@ def scene_spec_from_mapping(raw: Mapping, where: str = "spec") -> SyntheticScene
         )
     except KeyError as exc:
         raise InvalidSpecError(f"{where}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise InvalidSpecError(f"{where}: {exc}") from None
 
 

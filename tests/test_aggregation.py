@@ -25,7 +25,6 @@ from lidarseq.aggregation import (
     load_division,
     resolve_division,
     sampled_offsets,
-    step_offsets,
 )
 from lidarseq.errors import ConfigurationError, InvalidInputError
 from lidarseq.geometry import LabeledCloud, relative_pose
@@ -70,19 +69,19 @@ def relabeled(frame, point: int, class_id: int):
 
 class TestStepOffsets:
     def test_window_16_step_2_gives_8_frames(self):
-        assert step_offsets(2, 16) == [2, 4, 6, 8, 10, 12, 14, 16]
+        assert sampled_offsets([2], 16) == [2, 4, 6, 8, 10, 12, 14, 16]
 
     def test_window_16_step_4(self):
-        assert step_offsets(4, 16) == [4, 8, 12, 16]
+        assert sampled_offsets([4], 16) == [4, 8, 12, 16]
 
     def test_step_larger_than_window_is_empty(self):
-        assert step_offsets(5, 4) == []
+        assert sampled_offsets([5], 4) == []
 
     def test_infinite_step_is_empty(self):
-        assert step_offsets(INFINITE_STEP, 16) == []
+        assert sampled_offsets([INFINITE_STEP], 16) == []
 
     def test_sampled_offsets_are_the_ascending_union(self):
-        assert sampled_offsets([4, INFINITE_STEP, 2, 4], 16) == step_offsets(2, 16)
+        assert sampled_offsets([4, INFINITE_STEP, 2, 4], 16) == sampled_offsets([2], 16)
         assert sampled_offsets([3, 4], 16) == [3, 4, 6, 8, 9, 12, 15, 16]
         assert sampled_offsets([INFINITE_STEP], 16) == sampled_offsets([], 16) == []
         assert sampled_offsets([2], -1) == []
@@ -91,6 +90,11 @@ class TestStepOffsets:
         for step in (0, -2, 1.5):
             with pytest.raises(ConfigurationError, match="positive integer"):
                 sampled_offsets([2, step], 16)
+
+    def test_sampled_offsets_reject_a_non_finite_window(self):
+        for window in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="window must be an integer"):
+                sampled_offsets([2], window)
 
 
 class TestAggregateDirect:
@@ -361,6 +365,13 @@ class TestAggregateFsa:
         # frame 0 lies outside the window [1, 5]
         marked = [relabeled(f, 0, 15) if f.index == 0 else f for f in frames]
         assert aggregate_fsa(marked, 5, division).count == aggregate_fsa(frames, 5, division).count
+        # so a frame missing from the window is an error, sampled or not:
+        # step 2 reads frames 5 and 3 at t = 7, but 6 and 4 are checked too
+        gappy = [f for f in frames if f.index in (3, 5, 7)]
+        with pytest.raises(InvalidInputError, match="frame 6 is required"):
+            aggregate_fsa(gappy, 7, division)
+        lenient = dataclasses.replace(division, default_step=INFINITE_STEP)
+        assert aggregate_fsa(gappy, 7, lenient).count == 3 * 300
 
     def test_ids_outside_the_label_field_take_the_default_step(self):
         frames = scene()

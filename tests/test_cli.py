@@ -112,10 +112,18 @@ class TestSynth:
         assert bin_a != (c / "velodyne" / "000000.bin").read_bytes()
 
     def test_bad_spec_is_a_data_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.yaml"
-        path.write_text("frame_count: 0\npoints_per_frame: 10\nclasses: {40: 1.0}\n")
-        assert main(["synth", str(path), "--out", str(tmp_path / "x")]) == 2
-        assert "error" in capsys.readouterr().err
+        cases = {
+            "bad.yaml": "frame_count: 0\npoints_per_frame: 10\nclasses: {40: 1.0}\n",
+            "syntax.yaml": "classes: {9: [\n",
+            "ego.yaml": yaml.safe_dump({**SPEC, "ego": 5}),
+        }
+        for name, text in cases.items():
+            path = tmp_path / name
+            path.write_text(text)
+            for argv in (["synth", str(path), "--out", str(tmp_path / "x")],
+                         ["aggregate", "--synth", str(path)]):
+                assert main(argv) == 2
+                assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestAggregate:
@@ -181,6 +189,11 @@ class TestAggregate:
             "bad_window": ("window: abc\ngroups:\n" + good, "invalid literal for int"),
             "fractional_window": ("window: 2.5\ngroups:\n" + good, "window must be an integer"),
             "inf_window": ("window: .inf\ngroups:\n" + good, "window must be an integer"),
+            "zero_window": ("window: 0\ngroups:\n" + good, "window must be a positive integer"),
+            "class_in_two_groups": (
+                "groups:\n" + good + "  - classes: [9, 1]\n    step: 4\n",
+                "class 1 appears in groups 0 and 1",
+            ),
         }
         for name, (text, where) in cases.items():
             path = tmp_path / f"{name}.yaml"
@@ -307,6 +320,16 @@ class TestLift:
         assert len(maps) == 3
         assert [m.scale_level for m in maps] == [0, 1, 2]
         assert maps[0].count >= maps[1].count >= maps[2].count
+
+    def test_synth_source_lifts_the_images_synth_writes(self, seq_dir, spec_path, tmp_path):
+        # SPEC carries seed 3; no --seed is given, so both sides keep it
+        options = ["--image-step", "2", "--image-window", "4", "--voxel-size", "0.4"]
+        disk, synth = tmp_path / "disk.npz", tmp_path / "synth.npz"
+        assert main(["lift", "--sequence", str(seq_dir), *options, "--out", str(disk)]) == 0
+        assert main(["lift", "--synth", str(spec_path), *options, "--out", str(synth)]) == 0
+        for a, b in zip(load_voxel_maps(disk), load_voxel_maps(synth), strict=True):
+            assert np.array_equal(a.coords, b.coords)
+            assert np.array_equal(a.features, b.features)
 
     def test_seeded_lift_is_reproducible(self, seq_dir, tmp_path):
         out_a, out_b = tmp_path / "a.npz", tmp_path / "b.npz"

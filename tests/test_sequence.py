@@ -326,6 +326,21 @@ camera: {width: 32, height: 24}
         with pytest.raises(InvalidSpecError, match="frame_count"):
             scene_spec_from_mapping({"points_per_frame": 10, "classes": {1: 1.0}})
 
+    def test_malformed_spec_files_name_the_file(self, tmp_path):
+        base = "frame_count: 3\npoints_per_frame: 120\nclasses: {1: 1.0}\n"
+        cases = {
+            "yaml_syntax": ("classes: {9: [\n", "not valid YAML"),
+            "scalar_ego": (base + "ego: 5\n", "has no attribute"),
+            "scalar_camera": (base + "camera: 5\n", "has no attribute"),
+            "scalar_instance": (base + "instances: [5]\n", "not subscriptable"),
+        }
+        for name, (text, why) in cases.items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text)
+            with pytest.raises(InvalidSpecError, match=why) as info:
+                load_scene_spec(path)
+            assert str(info.value).startswith(f"{path}: ")
+
 
 class TestCorruptLabels:
     @pytest.fixture()
