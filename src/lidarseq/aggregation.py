@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .geometry import LabeledCloud, PointCloud, relative_pose
-from .sequence import SequenceFrame
+from .sequence import SequenceFrame, _check_fields
 
 INFINITE_STEP = math.inf
 
@@ -456,6 +456,8 @@ def load_division(path) -> GroupDivision:
           - classes: [3, 11]
             step: 4
             distance_split: {threshold_m: 30.0, near_step_multiplier: 2}
+
+    Any other key is an error, so a misspelt one cannot go unnoticed.
     """
     import yaml  # only a division file needs it; keeps CLI start-up short
 
@@ -474,13 +476,16 @@ def load_division(path) -> GroupDivision:
                     threshold_m=float(split["threshold_m"]),
                     near_step_multiplier=int(split.get("near_step_multiplier", 2)),
                 )
+                _check_fields(item["distance_split"], DistanceSplit, "distance_split", ConfigurationError)
             classes = frozenset(int(c) for c in item["classes"])
             groups.append(ClassGroup(classes, _parse_step(item["step"]), split))
+            _check_fields(item, ClassGroup, "group", ConfigurationError)
         except KeyError as exc:
             raise ConfigurationError(f"{path}: group {gi} is missing {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{path}: group {gi}: {exc}") from None
     try:
+        _check_fields(raw, GroupDivision, "top-level", ConfigurationError)
         default_step = raw.get("default_step", INFINITE_STEP)
         if default_step is not None:
             default_step = _parse_step(default_step)

@@ -18,7 +18,7 @@ from . import aggregation, augment, bench, imaging, voxels
 from .aggregation import AggregatedCloud, aggregate_direct, aggregate_fsa, aggregate_stepped
 from .augment import apply_switch, classify_motion, extract_track, moving_to_static, ring_anchors, static_to_moving
 from .distill import distill_loss
-from .errors import ConfigurationError, FormatError, InvalidInputError, LidarSeqError, UsageError
+from .errors import ConfigurationError, InvalidInputError, LidarSeqError, UsageError
 from .geometry import LabeledCloud, PointCloud, relative_pose
 from .imaging import (
     aggregate_image_features,
@@ -80,46 +80,27 @@ def _frame_image(seq_dir: Path, index: int):
     raise InvalidInputError(f"no image for frame {index} under {seq_dir / 'image_2'}")
 
 
-class _ImagesOnDemand(dict):
-    """Frame index -> image, read the first time the lifting asks for it."""
-
-    def __init__(self, read):
-        super().__init__()
-        self._read = read
-
-    def __missing__(self, index):
-        image = self[index] = self._read(index)
-        return image
+def _scene_spec(path, seed: int | None):
+    spec = load_scene_spec(path)
+    return spec if seed is None else dataclasses.replace(spec, seed=seed)
 
 
 def _load_source(args, steps=None, window: int = 0):
-    """Frames, a camera calibration (None when unavailable), the reference
-    frame t and the frame images, each read the first time it is asked for.
-
-    A sequence directory decodes only the frames a sampler with ``steps``
-    and ``window`` reads at t (``aggregation.sampled_frames``), or every
-    frame when steps is None; its images come from ``image_2``. Offsets
-    reaching before the first loaded frame are truncated exactly as at the
-    start of a sequence, so the result does not depend on what is not
-    loaded. A synthetic scene is generated whole, with the images ``synth``
-    writes for it.
-    """
+    """The frames a sampler with ``steps`` and ``window`` reads at the
+    reference frame t (``aggregation.sampled_frames``), or every frame when
+    steps is None, by ascending index; and t. A sequence directory decodes
+    only those; a synthetic scene is generated and cut to the same ones, so
+    the library gets the same frames from either source. No camera is read."""
     if args.sequence:
-        seq_dir = Path(args.sequence)
-        t = _reference_frame(args.frame, sequence_length(seq_dir))
-        indices = None if steps is None else aggregation.sampled_frames(t, steps, window)
-        frames = load_sequence(seq_dir, indices=indices)
-        try:
-            calib = load_camera_calib(seq_dir)
-        except (FormatError, InvalidInputError):
-            calib = None
-        return frames, calib, t, _ImagesOnDemand(lambda index: _frame_image(seq_dir, index))
-    spec = load_scene_spec(args.synth)
-    if getattr(args, "seed", None) is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-    frames, calib = generate_synthetic(spec), spec.camera.calib()
-    images = _ImagesOnDemand(lambda index: synthetic_feature_image(calib, index, seed=spec.seed))
-    return frames, calib, _reference_frame(args.frame, len(frames)), images
+        count = sequence_length(args.sequence)
+    else:
+        frames = generate_synthetic(_scene_spec(args.synth, args.seed))
+        count = len(frames)
+    t = _reference_frame(args.frame, count)
+    wanted = range(count) if steps is None else sorted(aggregation.sampled_frames(t, steps, window))
+    if args.sequence:
+        return load_sequence(args.sequence, indices=wanted), t
+    return [frames[i] for i in wanted], t
 
 
 def _corrupted_past(frames, t: int, rate: float, seed: int):
@@ -150,9 +131,7 @@ def _save_cloud(path, agg: AggregatedCloud) -> None:
 
 
 def _cmd_synth(args) -> int:
-    spec = load_scene_spec(args.spec)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    spec = _scene_spec(args.spec, args.seed)
     frames = generate_synthetic(spec)
     out = Path(args.out)
     calib = spec.camera.calib()
@@ -176,7 +155,7 @@ def _cmd_aggregate(args) -> int:
     else:
         window = aggregation.DEFAULT_WINDOW if args.window is None else args.window
         steps = [args.step if args.strategy == "stepped" else 1]
-    frames, _, t, _ = _load_source(args, steps, window)
+    frames, t = _load_source(args, steps, window)
     frames = _corrupted_past(frames, t, args.label_error_rate, args.seed or 0)
     if args.strategy == "direct":
         agg = aggregate_direct(frames, t, window)
@@ -195,7 +174,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    frames, calib, t, _ = _load_source(args)
+    frames, t = _load_source(args)
     first = min(f.index for f in frames)
     agg = aggregate_direct(frames, t, t - first)
     track = extract_track(agg, args.instance)
@@ -206,7 +185,7 @@ def _cmd_augment(args) -> int:
         switched_track = static_to_moving(
             track, agg, anchors, seed=args.seed or 0, threshold=args.threshold
         )
-    switched = apply_switch(agg, track, switched_track)
+    switched = apply_switch(agg, track, switched_track, threshold=args.threshold)
 
     present = {f.index: f for f in frames}[t]
     instance_rows = switched.labeled.instance == args.instance
@@ -227,7 +206,14 @@ def _cmd_augment(args) -> int:
             PointCloud(xyz, frame.labeled.cloud.intensity), semantic, frame.labeled.instance
         )
         out_frames.append(dataclasses.replace(frame, labeled=labeled))
-    write_sequence(Path(args.out), out_frames, calib)
+    out = Path(args.out)
+    if args.sequence:
+        # the source's own calib.txt, whose Tr reloads every pose bit-identical
+        calib_text = (Path(args.sequence) / "calib.txt").read_bytes()
+        write_sequence(out, out_frames)
+        (out / "calib.txt").write_bytes(calib_text)
+    else:
+        write_sequence(out, out_frames, load_scene_spec(args.synth).camera.calib())
     print(
         f"switched instance {args.instance} {classify_motion(track, args.threshold)} -> "
         f"{classify_motion(switched_track, args.threshold)}; wrote {len(out_frames)} frames to {args.out}"
@@ -239,9 +225,15 @@ def _cmd_lift(args) -> int:
     # only the present frame and the sampled t - offset frames are read; a
     # step the lifting rejects loads t alone and the library reports it
     steps = [args.image_step] if args.image_step > 0 else []
-    frames, calib, t, images = _load_source(args, steps, args.image_window)
-    if calib is None:
-        raise InvalidInputError("no camera calibration available; cannot project")
+    frames, t = _load_source(args, steps, args.image_window)
+    # lift alone projects, so it alone reads a camera: its own images of the loaded frames
+    if args.sequence:
+        calib = load_camera_calib(args.sequence)
+        images = {f.index: _frame_image(Path(args.sequence), f.index) for f in frames}
+    else:
+        spec = _scene_spec(args.synth, args.seed)
+        calib = spec.camera.calib()
+        images = {f.index: synthetic_feature_image(calib, f.index, seed=spec.seed) for f in frames}
     lifted = aggregate_image_features(
         frames, images, calib, t, step=args.image_step, window=args.image_window
     )
@@ -284,7 +276,7 @@ def _parse_window(entry: str) -> int:
 def _cmd_bench(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     windows = [_parse_window(w) for w in args.windows.split(",") if w.strip()]
-    frames, _, t, _ = _load_source(args, [1], max(windows, default=0))
+    frames, t = _load_source(args, [1], max(windows, default=0))
     division = None
     if any(s == "fsa" for s in strategies):
         division = _resolve_division(args.division)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -237,7 +237,7 @@ def load_camera_calib(seq_dir, image_size: tuple[int, int] | None = None) -> Cam
         candidates = sorted(image_dir.glob("*")) if image_dir.is_dir() else []
         if not candidates:
             raise InvalidInputError(
-                f"{seq_dir}: no image_2/ files; pass image_size explicitly"
+                f"{image_dir}: no images to take the image size from; pass image_size explicitly"
             )
         image_size = peek_image_size(candidates[0])
     return CameraCalib(
@@ -355,22 +355,9 @@ class EgoSpec:
 class CameraSpec:
     width: int = 64
     height: int = 48
-    fx: float | None = None
-    fy: float | None = None
 
     def calib(self) -> CameraCalib:
-        base = default_camera_calib(self.width, self.height)
-        if self.fx is None and self.fy is None:
-            return base
-        return CameraCalib(
-            fx=self.fx if self.fx is not None else base.fx,
-            fy=self.fy if self.fy is not None else base.fy,
-            cx=base.cx,
-            cy=base.cy,
-            extrinsic=base.extrinsic,
-            width=base.width,
-            height=base.height,
-        )
+        return default_camera_calib(self.width, self.height)
 
 
 @dataclass(frozen=True)
@@ -528,7 +515,8 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> list[SequenceFrame]:
 
 
 def load_scene_spec(path) -> SyntheticSceneSpec:
-    """Parse a YAML scene spec; keys mirror the SyntheticSceneSpec fields."""
+    """Parse a YAML scene spec; keys mirror the SyntheticSceneSpec fields,
+    and a key that names no field is an error."""
     import yaml  # only a scene spec needs it; keeps CLI start-up short
 
     try:
@@ -538,6 +526,15 @@ def load_scene_spec(path) -> SyntheticSceneSpec:
     if not isinstance(raw, dict):
         raise InvalidSpecError(f"{path}: expected a mapping at top level")
     return scene_spec_from_mapping(raw, where=str(path))
+
+
+def _check_fields(raw: Mapping, spec_type, what: str, error=InvalidSpecError) -> None:
+    """Reject a key that names no field of ``spec_type``: a misspelt optional
+    key would otherwise leave its field at the default without a word."""
+    known = sorted(f.name for f in fields(spec_type))
+    unknown = sorted(str(key) for key in raw if key not in known)
+    if unknown:
+        raise error(f"unknown {what} key {unknown[0]!r}; known keys: {', '.join(known)}")
 
 
 def scene_spec_from_mapping(raw: Mapping, where: str = "spec") -> SyntheticSceneSpec:
@@ -566,9 +563,12 @@ def scene_spec_from_mapping(raw: Mapping, where: str = "spec") -> SyntheticScene
         camera = CameraSpec(
             width=int(cam_raw.get("width", 64)),
             height=int(cam_raw.get("height", 48)),
-            fx=float(cam_raw["fx"]) if "fx" in cam_raw else None,
-            fy=float(cam_raw["fy"]) if "fy" in cam_raw else None,
         )
+        for item in raw.get("instances", []):
+            _check_fields(item, InstanceSpec, "instance")
+        _check_fields(ego_raw, EgoSpec, "ego")
+        _check_fields(cam_raw, CameraSpec, "camera")
+        _check_fields(raw, SyntheticSceneSpec, "top-level")
         return SyntheticSceneSpec(
             frame_count=int(raw["frame_count"]),
             points_per_frame=int(raw["points_per_frame"]),

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, reproducibility, end-to-end subcommand wiring."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,16 @@ from lidarseq.imaging import (
     fuse_to_voxels,
     read_image,
 )
-from lidarseq.sequence import corrupt_labels, load_camera_calib, load_sequence
+from lidarseq.geometry import Pose
+from lidarseq.sequence import (
+    CameraCalib,
+    corrupt_labels,
+    generate_synthetic,
+    load_camera_calib,
+    load_sequence,
+    scene_spec_from_mapping,
+    write_sequence,
+)
 from lidarseq.voxels import DEFAULT_VOXEL_SIZE, load_voxel_maps
 
 SPEC = {
@@ -66,6 +76,14 @@ def spec_path(tmp_path):
 def seq_dir(tmp_path, spec_path):
     out = tmp_path / "seq"
     assert main(["synth", str(spec_path), "--out", str(out)]) == 0
+    return out
+
+
+def _without_p2(seq_dir, out):
+    """A copy of the sequence whose calib.txt has no P2 line."""
+    shutil.copytree(seq_dir, out)
+    lines = (out / "calib.txt").read_text().splitlines(True)
+    (out / "calib.txt").write_text("".join(line for line in lines if not line.startswith("P2:")))
     return out
 
 
@@ -194,6 +212,13 @@ class TestAggregate:
                 "groups:\n" + good + "  - classes: [9, 1]\n    step: 4\n",
                 "class 1 appears in groups 0 and 1",
             ),
+            # a misspelt optional key used to leave its default in place silently
+            "top_level_typo": ("defualt_step: 1\ngroups:\n" + good, "unknown top-level key 'defualt_step'"),
+            "group_typo": ("groups:\n" + good + "    stpe: 4\n", "group 0: unknown group key 'stpe'"),
+            "split_typo": (
+                "groups:\n" + good + "    distance_split: {threshold_m: 5.0, near_multiplier: 3}\n",
+                "group 0: unknown distance_split key 'near_multiplier'",
+            ),
         }
         for name, (text, where) in cases.items():
             path = tmp_path / f"{name}.yaml"
@@ -274,6 +299,31 @@ class TestAugment:
         agg = aggregate_direct(after, t=5, window=5)
         assert classify_motion(extract_track(agg, 5)) == "static"
 
+    def test_output_keeps_the_source_calibration(self, tmp_path):
+        # a non-default Tr and no image_2/, as for scans without the image download
+        rot = np.eye(3)[[1, 2, 0]]
+        calib = CameraCalib(fx=300.0, fy=310.0, cx=160.5, cy=90.25, width=320, height=180,
+                            extrinsic=Pose.from_rotation_translation(rot, np.array([0.3, -0.1, 0.7])))
+        source, out = tmp_path / "no-images", tmp_path / "switched"
+        write_sequence(source, generate_synthetic(scene_spec_from_mapping(SPEC)), calib)
+        assert main(["augment", "--sequence", str(source), "--instance", "5",
+                     "--switch", "moving-to-static", "--out", str(out)]) == 0
+        assert (out / "calib.txt").read_bytes() == (source / "calib.txt").read_bytes()
+        for before, after in zip(load_sequence(source), load_sequence(out), strict=True):
+            assert np.array_equal(before.pose.matrix, after.pose.matrix)
+            keep = before.labeled.instance != 5
+            assert np.array_equal(before.labeled.cloud.xyz[keep], after.labeled.cloud.xyz[keep])
+
+    def test_threshold_reaches_the_relabelling(self, tmp_path):
+        # 0.05 m of motion over six frames: moving only below the default threshold
+        slow = {**SPEC, "instances": [{**SPEC["instances"][0], "velocity": [0.1, 0.0, 0.0]}]}
+        spec, out = tmp_path / "slow.yaml", tmp_path / "switched"
+        spec.write_text(yaml.safe_dump(slow))
+        assert main(["augment", "--synth", str(spec), "--instance", "5", "--threshold", "0.02",
+                     "--switch", "moving-to-static", "--out", str(out)]) == 0
+        for frame in load_sequence(out):
+            assert set(frame.labeled.semantic[frame.labeled.instance == 5].tolist()) == {10}
+
     def test_wrong_direction_is_a_data_error(self, seq_dir, tmp_path, capsys):
         code = main(["augment", "--sequence", str(seq_dir), "--instance", "5",
                      "--switch", "static-to-moving", "--out", str(tmp_path / "x")])
@@ -330,6 +380,27 @@ class TestLift:
         for a, b in zip(load_voxel_maps(disk), load_voxel_maps(synth), strict=True):
             assert np.array_equal(a.coords, b.coords)
             assert np.array_equal(a.features, b.features)
+
+    def test_calibration_problems_are_named(self, seq_dir, tmp_path, capsys):
+        no_p2, no_images = _without_p2(seq_dir, tmp_path / "no-p2"), tmp_path / "no-images"
+        shutil.copytree(seq_dir, no_images)
+        shutil.rmtree(no_images / "image_2")
+        for seq, message in ((no_p2, f"{no_p2 / 'calib.txt'}: missing P2 entry"),
+                             (no_images, str(no_images / "image_2"))):
+            assert main(["lift", "--sequence", str(seq)]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_only_lift_reads_a_camera(self, seq_dir, tmp_path, monkeypatch):
+        seq = _without_p2(seq_dir, tmp_path / "no-camera")
+        shutil.rmtree(seq / "image_2")
+
+        def no_camera(*args, **kwargs):
+            raise AssertionError("load_camera_calib called")
+
+        monkeypatch.setattr(cli, "load_camera_calib", no_camera)
+        monkeypatch.setattr(seqio, "load_camera_calib", no_camera)
+        assert main(["aggregate", "--sequence", str(seq)]) == 0
+        assert main(["bench", "--sequence", str(seq), "--repeats", "1"]) == 0
 
     def test_seeded_lift_is_reproducible(self, seq_dir, tmp_path):
         out_a, out_b = tmp_path / "a.npz", tmp_path / "b.npz"

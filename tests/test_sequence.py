@@ -333,6 +333,14 @@ camera: {width: 32, height: 24}
             "scalar_ego": (base + "ego: 5\n", "has no attribute"),
             "scalar_camera": (base + "camera: 5\n", "has no attribute"),
             "scalar_instance": (base + "instances: [5]\n", "not subscriptable"),
+            # a misspelt optional key used to leave its default in place silently
+            "top_level_typo": (base + "sede: 4\n", "unknown top-level key 'sede'"),
+            "instance_typo": (
+                base + "instances: [{class_id: 1, points: 5, center: [1, 2, 0], velocty: [1, 0, 0]}]\n",
+                "unknown instance key 'velocty'",
+            ),
+            "ego_typo": (base + "ego: {yaw_rate: 2.0}\n", "unknown ego key 'yaw_rate'"),
+            "camera_fx": (base + "camera: {width: 32, fx: 50.0}\n", "unknown camera key 'fx'"),
         }
         for name, (text, why) in cases.items():
             path = tmp_path / f"{name}.yaml"
