@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import shutil
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .distill import distill_loss
 from .errors import ConfigurationError, InvalidInputError, LidarSeqError, UsageError
 from .geometry import LabeledCloud, PointCloud, relative_pose
 from .imaging import (
+    _IMAGE_SUFFIXES,
     aggregate_image_features,
     fuse_to_voxels,
     read_image,
@@ -48,9 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_source(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sequence", metavar="DIR", help="SemanticKITTI-format sequence directory")
-    group.add_argument("--synth", metavar="SPEC", help="synthetic scene spec (YAML)")
+    parser.add_argument("--sequence", required=True, metavar="DIR",
+                        help="SemanticKITTI-format sequence directory")
 
 
 def _resolve_division(spec: str, window: int | None = None):
@@ -73,34 +74,22 @@ def _reference_frame(requested: int | None, count: int) -> int:
 
 def _frame_image(seq_dir: Path, index: int):
     stem = seq_dir / "image_2" / f"{index:06d}"
-    for suffix in (".ppm", ".pgm", ".fmap"):
+    for suffix in _IMAGE_SUFFIXES:
         candidate = stem.with_suffix(suffix)
         if candidate.exists():
             return read_image(candidate)
     raise InvalidInputError(f"no image for frame {index} under {seq_dir / 'image_2'}")
 
 
-def _scene_spec(path, seed: int | None):
-    spec = load_scene_spec(path)
-    return spec if seed is None else dataclasses.replace(spec, seed=seed)
-
-
 def _load_source(args, steps=None, window: int = 0):
-    """The frames a sampler with ``steps`` and ``window`` reads at the
-    reference frame t (``aggregation.sampled_frames``), or every frame when
-    steps is None, by ascending index; and t. A sequence directory decodes
-    only those; a synthetic scene is generated and cut to the same ones, so
-    the library gets the same frames from either source. No camera is read."""
-    if args.sequence:
-        count = sequence_length(args.sequence)
-    else:
-        frames = generate_synthetic(_scene_spec(args.synth, args.seed))
-        count = len(frames)
+    """The frames of --sequence that a sampler with ``steps`` and ``window``
+    reads at the reference frame t (``aggregation.sampled_frames``), or every
+    frame when steps is None, by ascending index; and t. Only those are
+    decoded, and no camera is read."""
+    count = sequence_length(args.sequence)
     t = _reference_frame(args.frame, count)
     wanted = range(count) if steps is None else sorted(aggregation.sampled_frames(t, steps, window))
-    if args.sequence:
-        return load_sequence(args.sequence, indices=wanted), t
-    return [frames[i] for i in wanted], t
+    return load_sequence(args.sequence, indices=wanted), t
 
 
 def _corrupted_past(frames, t: int, rate: float, seed: int):
@@ -131,7 +120,9 @@ def _save_cloud(path, agg: AggregatedCloud) -> None:
 
 
 def _cmd_synth(args) -> int:
-    spec = _scene_spec(args.spec, args.seed)
+    spec = load_scene_spec(args.spec)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     frames = generate_synthetic(spec)
     out = Path(args.out)
     calib = spec.camera.calib()
@@ -156,7 +147,7 @@ def _cmd_aggregate(args) -> int:
         window = aggregation.DEFAULT_WINDOW if args.window is None else args.window
         steps = [args.step if args.strategy == "stepped" else 1]
     frames, t = _load_source(args, steps, window)
-    frames = _corrupted_past(frames, t, args.label_error_rate, args.seed or 0)
+    frames = _corrupted_past(frames, t, args.label_error_rate, args.seed)
     if args.strategy == "direct":
         agg = aggregate_direct(frames, t, window)
     elif args.strategy == "stepped":
@@ -183,7 +174,7 @@ def _cmd_augment(args) -> int:
     else:
         anchors = ring_anchors(track.centroids[0], ring_radius=args.ring_radius)
         switched_track = static_to_moving(
-            track, agg, anchors, seed=args.seed or 0, threshold=args.threshold
+            track, agg, anchors, seed=args.seed, threshold=args.threshold
         )
     switched = apply_switch(agg, track, switched_track, threshold=args.threshold)
 
@@ -206,14 +197,14 @@ def _cmd_augment(args) -> int:
             PointCloud(xyz, frame.labeled.cloud.intensity), semantic, frame.labeled.instance
         )
         out_frames.append(dataclasses.replace(frame, labeled=labeled))
-    out = Path(args.out)
-    if args.sequence:
-        # the source's own calib.txt, whose Tr reloads every pose bit-identical
-        calib_text = (Path(args.sequence) / "calib.txt").read_bytes()
-        write_sequence(out, out_frames)
-        (out / "calib.txt").write_bytes(calib_text)
-    else:
-        write_sequence(out, out_frames, load_scene_spec(args.synth).camera.calib())
+    source, out = Path(args.sequence), Path(args.out)
+    # the source's own calib.txt, whose Tr reloads every pose bit-identical,
+    # and its images: every frame is written, so file indices stay the same
+    calib_text = (source / "calib.txt").read_bytes()
+    write_sequence(out, out_frames)
+    (out / "calib.txt").write_bytes(calib_text)
+    if (source / "image_2").is_dir() and out.resolve() != source.resolve():
+        shutil.copytree(source / "image_2", out / "image_2", dirs_exist_ok=True)
     print(
         f"switched instance {args.instance} {classify_motion(track, args.threshold)} -> "
         f"{classify_motion(switched_track, args.threshold)}; wrote {len(out_frames)} frames to {args.out}"
@@ -227,18 +218,13 @@ def _cmd_lift(args) -> int:
     steps = [args.image_step] if args.image_step > 0 else []
     frames, t = _load_source(args, steps, args.image_window)
     # lift alone projects, so it alone reads a camera: its own images of the loaded frames
-    if args.sequence:
-        calib = load_camera_calib(args.sequence)
-        images = {f.index: _frame_image(Path(args.sequence), f.index) for f in frames}
-    else:
-        spec = _scene_spec(args.synth, args.seed)
-        calib = spec.camera.calib()
-        images = {f.index: synthetic_feature_image(calib, f.index, seed=spec.seed) for f in frames}
+    calib = load_camera_calib(args.sequence)
+    images = {f.index: _frame_image(Path(args.sequence), f.index) for f in frames}
     lifted = aggregate_image_features(
         frames, images, calib, t, step=args.image_step, window=args.image_window
     )
     fused = fuse_to_voxels(
-        lifted, scales=args.scales, seed=args.seed or 0, voxel_size=args.voxel_size
+        lifted, scales=args.scales, seed=args.seed, voxel_size=args.voxel_size
     )
     if args.out:
         save_voxel_maps(args.out, fused)
@@ -307,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[], help="render a synthetic scene spec to disk")
     p.add_argument("spec", help="scene spec YAML")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="replaces the spec's seed")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("aggregate", help="aggregate temporal sweeps into one cloud")
@@ -321,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--division", default="division3", help="preset name or YAML path")
     p.add_argument("--label-error-rate", type=float, default=0.0,
                    help="simulate historical predictions on past frames")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed of the label corruption")
     p.add_argument("--out", default=None, help="write the cloud to this .npz")
     p.set_defaults(func=_cmd_aggregate)
 
@@ -334,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="motion threshold (m)")
     p.add_argument("--ring-radius", type=float, default=augment.DEFAULT_RING_RADIUS,
                    help="anchor ring radius (m)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed of the switch")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_augment)
 
@@ -345,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-window", type=int, default=imaging.DEFAULT_IMAGE_WINDOW)
     p.add_argument("--scales", type=int, default=3)
     p.add_argument("--voxel-size", type=float, default=voxels.DEFAULT_VOXEL_SIZE)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed of the fusion kernels")
     p.add_argument("--out", default=None, help="write fused maps to this .npz")
     p.set_defaults(func=_cmd_lift)
 
@@ -365,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--bytes-per-point", type=int, default=bench.DEFAULT_BYTES_PER_POINT)
     p.add_argument("--format", choices=("table", "machine"), default="table")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 

@@ -31,12 +31,15 @@ from .voxels import (
     apply_fixed_kernel,
     downsample,
     gather_trilinear,
+    seeded_kernel,
     voxelize,
 )
 
 DEFAULT_IMAGE_STEP = 12
 DEFAULT_IMAGE_WINDOW = 48
 DEFAULT_Z_MIN = 0.1
+# the image files read_image decodes, in the order a frame's image is looked up
+_IMAGE_SUFFIXES = (".ppm", ".pgm", ".fmap")
 LABEL_IGNORE = -1
 
 
@@ -239,29 +242,23 @@ def fuse_to_voxels(
     scales: int = 3,
     seed: int = 0,
     voxel_size: float = DEFAULT_VOXEL_SIZE,
-    kernel: np.ndarray | None = None,
 ) -> list[VoxelFeatureMap]:
     """Voxelize lifted features and fuse them into a multi-scale pyramid.
 
-    Each scale applies one fixed submanifold kernel, seeded per scale unless
-    an explicit kernel is given; coarser scales halve the grid. Deterministic
-    for a given seed.
+    Scale ``level`` applies the fixed submanifold kernel seeded with
+    ``seed + level``; coarser scales halve the grid. Deterministic for a
+    given seed.
     """
     if scales < 1:
         raise InvalidInputError(f"need at least one scale, got {scales}")
     if agg.count == 0:
         raise InvalidInputError("cannot fuse an empty feature cloud")
-
-    def convolved(vmap: VoxelFeatureMap, level: int) -> VoxelFeatureMap:
-        if kernel is not None:
-            return apply_fixed_kernel(vmap, kernel)
-        return apply_fixed_kernel(vmap, seed=seed + level)
-
     current = voxelize(agg.xyz, agg.features, voxel_size)
-    pyramid = [convolved(current, 0)]
-    for level in range(1, scales):
-        current = downsample(pyramid[-1])
-        pyramid.append(convolved(current, level))
+    pyramid = []
+    for level in range(scales):
+        if level:
+            current = downsample(pyramid[-1])
+        pyramid.append(apply_fixed_kernel(current, seeded_kernel(current.width, seed + level)))
     return pyramid
 
 
@@ -309,7 +306,7 @@ def project_labels_to_image(
 # image files
 
 
-def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+def _read_token(buf: bytes, pos: int, path) -> tuple[bytes, int]:
     """Next whitespace-delimited PNM header token, skipping # comments."""
     n = len(buf)
     while pos < n:
@@ -325,18 +322,18 @@ def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and not buf[pos : pos + 1].isspace():
         pos += 1
     if start == pos:
-        raise FormatError("truncated image header")
+        raise FormatError(f"{path}: truncated image header")
     return buf[start:pos], pos
 
 
 def _parse_pnm_header(buf: bytes, path) -> tuple[bytes, int, int, int]:
     """Returns (magic, width, height, data offset); maxval must be 255."""
-    magic, pos = _read_token(buf, 0)
+    magic, pos = _read_token(buf, 0, path)
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"{path}: not a binary PGM/PPM file")
     fields = []
     for _ in range(3):
-        token, pos = _read_token(buf, pos)
+        token, pos = _read_token(buf, pos, path)
         if not token.isdigit():
             raise FormatError(f"{path}: bad header token {token!r}")
         fields.append(int(token))

@@ -224,17 +224,19 @@ def load_sequence(
 
 def load_camera_calib(seq_dir, image_size: tuple[int, int] | None = None) -> CameraCalib:
     """Build a CameraCalib from calib.txt; image size comes from the caller
-    or from the first image under image_2/."""
+    or from the first .ppm, .pgm or .fmap file under image_2/ by name; other
+    files there, such as a .gitkeep, are passed over."""
     seq_dir = Path(seq_dir)
     entries = _parse_calib(seq_dir / "calib.txt")
     if "P2" not in entries:
         raise FormatError(f"{seq_dir / 'calib.txt'}: missing P2 entry")
     p2 = entries["P2"]
     if image_size is None:
-        from .imaging import peek_image_size  # late import, imaging pulls geometry
+        from .imaging import _IMAGE_SUFFIXES, peek_image_size  # late import, imaging pulls geometry
 
         image_dir = seq_dir / "image_2"
-        candidates = sorted(image_dir.glob("*")) if image_dir.is_dir() else []
+        found = image_dir.glob("*") if image_dir.is_dir() else []
+        candidates = sorted(p for p in found if p.suffix in _IMAGE_SUFFIXES)
         if not candidates:
             raise InvalidInputError(
                 f"{image_dir}: no images to take the image size from; pass image_size explicitly"

@@ -195,19 +195,13 @@ def seeded_kernel(width: int, seed: int) -> np.ndarray:
     return rng.standard_normal((3, 3, 3, width, width)) / np.sqrt(27.0 * width)
 
 
-def apply_fixed_kernel(
-    vmap: VoxelFeatureMap, kernel: np.ndarray | None = None, seed: int | None = None
-) -> VoxelFeatureMap:
+def apply_fixed_kernel(vmap: VoxelFeatureMap, kernel: np.ndarray) -> VoxelFeatureMap:
     """Submanifold 3x3x3 convolution: outputs exactly at the occupied voxels.
 
     ``kernel[dx+1, dy+1, dz+1]`` is the (C_out, C_in) matrix applied to the
     neighbor at ``coord + (dx, dy, dz)``; missing neighbors contribute
-    nothing. Pass an explicit kernel or a seed to derive one.
+    nothing. ``seeded_kernel`` derives one from a seed.
     """
-    if kernel is None:
-        if seed is None:
-            raise ConfigurationError("apply_fixed_kernel needs a kernel or a seed")
-        kernel = seeded_kernel(vmap.width, seed)
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.shape[:3] != (3, 3, 3) or kernel.ndim != 5:
         raise ConfigurationError(f"kernel must be (3, 3, 3, C_out, C_in), got {kernel.shape}")

@@ -102,14 +102,39 @@ class TestTopLevel:
 
     def test_defaults_come_from_the_library_constants(self):
         parser = cli.build_parser()
-        lift = parser.parse_args(["lift", "--synth", "s.yaml"])
+        lift = parser.parse_args(["lift", "--sequence", "seq"])
         assert lift.image_step == DEFAULT_IMAGE_STEP
         assert lift.image_window == DEFAULT_IMAGE_WINDOW
         assert lift.voxel_size == DEFAULT_VOXEL_SIZE
-        switch = parser.parse_args(["augment", "--synth", "s.yaml", "--instance", "1",
+        switch = parser.parse_args(["augment", "--sequence", "seq", "--instance", "1",
                                     "--switch", "moving-to-static", "--out", "o"])
         assert switch.threshold == DEFAULT_MOTION_THRESHOLD
         assert switch.ring_radius == DEFAULT_RING_RADIUS
+
+    def test_each_subcommand_has_exactly_its_options(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        options = {
+            name: sorted(o for a in sub._actions for o in a.option_strings if o.startswith("--"))
+            for name, sub in commands.items()
+        }
+        windowed = ["--frame", "--help", "--out", "--sequence"]
+        assert options == {
+            "synth": ["--help", "--out", "--seed"],
+            "aggregate": sorted(windowed + ["--division", "--label-error-rate", "--seed",
+                                            "--step", "--strategy", "--window"]),
+            "augment": sorted(windowed + ["--instance", "--ring-radius", "--seed", "--switch",
+                                          "--threshold"]),
+            "lift": sorted(windowed + ["--image-step", "--image-window", "--scales", "--seed",
+                                       "--voxel-size"]),
+            "distill": ["--help", "--mode", "--student", "--teacher"],
+            "bench": sorted(windowed + ["--bytes-per-point", "--division", "--format",
+                                        "--repeats", "--strategies", "--windows"]),
+        }
+        # --seed has one meaning per command; only synth's falls back to the spec's own
+        seeds = {name: sub.get_default("seed") for name, sub in commands.items()}
+        assert seeds == {"synth": None, "aggregate": 0, "augment": 0, "lift": 0,
+                         "distill": None, "bench": None}
 
 
 class TestSynth:
@@ -138,10 +163,8 @@ class TestSynth:
         for name, text in cases.items():
             path = tmp_path / name
             path.write_text(text)
-            for argv in (["synth", str(path), "--out", str(tmp_path / "x")],
-                         ["aggregate", "--synth", str(path)]):
-                assert main(argv) == 2
-                assert capsys.readouterr().err.startswith(f"error: {path}: ")
+            assert main(["synth", str(path), "--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestAggregate:
@@ -161,11 +184,6 @@ class TestAggregate:
         assert np.array_equal(dump["source_frame"], want.source_frame)
         assert np.array_equal(dump["source_step"], want.source_step)
         assert int(dump["reference_frame"]) == 5
-
-    def test_synth_source_skips_the_disk(self, spec_path, capsys):
-        assert main(["aggregate", "--synth", str(spec_path), "--strategy", "direct",
-                     "--window", "3"]) == 0
-        assert "direct:" in capsys.readouterr().out
 
     def test_label_corruption_spares_the_present_frame(self, seq_dir, tmp_path):
         out_a = tmp_path / "a.npz"
@@ -256,8 +274,11 @@ class TestAggregate:
                 err = capsys.readouterr().err
                 assert f"frame {frame} " in err and "sequence of 6 frames" in err
 
-    def test_source_is_required_and_exclusive(self, seq_dir, spec_path):
+    def test_source_is_required_and_exclusive(self, seq_dir, spec_path, capsys):
+        # a sequence directory is the one source; a scene spec goes through synth first
         assert main(["aggregate"]) == 1
+        assert "--sequence" in capsys.readouterr().err
+        assert main(["aggregate", "--synth", str(spec_path)]) == 1
         assert main(["aggregate", "--sequence", str(seq_dir), "--synth", str(spec_path)]) == 1
 
     def test_division_file_window_is_used_unless_overridden(self, seq_dir, tmp_path, capsys):
@@ -273,9 +294,9 @@ class TestAggregate:
             assert np.load(out)["xyz"].shape[0] == want.count
             assert f"(window {window}," in capsys.readouterr().out
 
-    def test_direct_and_stepped_default_to_the_default_window(self, spec_path, capsys):
+    def test_direct_and_stepped_default_to_the_default_window(self, seq_dir, capsys):
         for strategy in ("direct", "stepped"):
-            assert main(["aggregate", "--synth", str(spec_path), "--strategy", strategy]) == 0
+            assert main(["aggregate", "--sequence", str(seq_dir), "--strategy", strategy]) == 0
             assert f"(window {DEFAULT_WINDOW}," in capsys.readouterr().out
 
 
@@ -317,12 +338,27 @@ class TestAugment:
     def test_threshold_reaches_the_relabelling(self, tmp_path):
         # 0.05 m of motion over six frames: moving only below the default threshold
         slow = {**SPEC, "instances": [{**SPEC["instances"][0], "velocity": [0.1, 0.0, 0.0]}]}
-        spec, out = tmp_path / "slow.yaml", tmp_path / "switched"
+        spec, seq, out = tmp_path / "slow.yaml", tmp_path / "slow", tmp_path / "switched"
         spec.write_text(yaml.safe_dump(slow))
-        assert main(["augment", "--synth", str(spec), "--instance", "5", "--threshold", "0.02",
+        assert main(["synth", str(spec), "--out", str(seq)]) == 0
+        assert main(["augment", "--sequence", str(seq), "--instance", "5", "--threshold", "0.02",
                      "--switch", "moving-to-static", "--out", str(out)]) == 0
         for frame in load_sequence(out):
             assert set(frame.labeled.semantic[frame.labeled.instance == 5].tolist()) == {10}
+
+    def test_output_can_be_lifted(self, seq_dir, tmp_path):
+        # to a new directory, and in place over a copy of the source
+        in_place = tmp_path / "in-place"
+        shutil.copytree(seq_dir, in_place)
+        names = sorted(p.name for p in (seq_dir / "image_2").iterdir())
+        for source, out in ((seq_dir, tmp_path / "switched"), (in_place, in_place)):
+            assert main(["augment", "--sequence", str(source), "--instance", "5",
+                         "--switch", "moving-to-static", "--out", str(out)]) == 0
+            assert main(["lift", "--sequence", str(out), "--image-step", "2",
+                         "--image-window", "4", "--voxel-size", "0.4"]) == 0
+            assert sorted(p.name for p in (out / "image_2").iterdir()) == names
+            for name in names:
+                assert (out / "image_2" / name).read_bytes() == (seq_dir / "image_2" / name).read_bytes()
 
     def test_wrong_direction_is_a_data_error(self, seq_dir, tmp_path, capsys):
         code = main(["augment", "--sequence", str(seq_dir), "--instance", "5",
@@ -371,15 +407,20 @@ class TestLift:
         assert [m.scale_level for m in maps] == [0, 1, 2]
         assert maps[0].count >= maps[1].count >= maps[2].count
 
-    def test_synth_source_lifts_the_images_synth_writes(self, seq_dir, spec_path, tmp_path):
-        # SPEC carries seed 3; no --seed is given, so both sides keep it
+    def test_stray_files_in_image_2_are_passed_over(self, seq_dir, tmp_path):
         options = ["--image-step", "2", "--image-window", "4", "--voxel-size", "0.4"]
-        disk, synth = tmp_path / "disk.npz", tmp_path / "synth.npz"
-        assert main(["lift", "--sequence", str(seq_dir), *options, "--out", str(disk)]) == 0
-        assert main(["lift", "--synth", str(spec_path), *options, "--out", str(synth)]) == 0
-        for a, b in zip(load_voxel_maps(disk), load_voxel_maps(synth), strict=True):
-            assert np.array_equal(a.coords, b.coords)
-            assert np.array_equal(a.features, b.features)
+        clean, stray = tmp_path / "clean.npz", tmp_path / "stray.npz"
+        assert main(["lift", "--sequence", str(seq_dir), *options, "--out", str(clean)]) == 0
+        # sorts before 000000.ppm, and is no image
+        (seq_dir / "image_2" / ".gitkeep").write_bytes(b"")
+        assert main(["lift", "--sequence", str(seq_dir), *options, "--out", str(stray)]) == 0
+        assert stray.read_bytes() == clean.read_bytes()
+
+    def test_truncated_first_image_is_named(self, seq_dir, capsys):
+        first = seq_dir / "image_2" / "000000.ppm"
+        first.write_bytes(b"P6 4")
+        assert main(["lift", "--sequence", str(seq_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {first}: truncated image header\n"
 
     def test_calibration_problems_are_named(self, seq_dir, tmp_path, capsys):
         no_p2, no_images = _without_p2(seq_dir, tmp_path / "no-p2"), tmp_path / "no-images"

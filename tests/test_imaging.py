@@ -32,7 +32,7 @@ from lidarseq.sequence import (
     default_camera_calib,
     generate_synthetic,
 )
-from lidarseq.voxels import apply_fixed_kernel, gather_trilinear, identity_kernel, seeded_kernel, voxelize
+from lidarseq.voxels import apply_fixed_kernel, gather_trilinear, seeded_kernel, voxelize
 
 from helpers import random_labeled
 
@@ -272,13 +272,6 @@ class TestFuseToVoxels:
         frames = make_frames(frame_count=5)
         images = frame_images(frames, seed=seed)
         return aggregate_image_features(frames, images, CALIB, t=4, step=2, window=4)
-
-    def test_single_scale_identity_kernel_is_plain_voxelization(self):
-        agg = self.agg()
-        fused = fuse_to_voxels(agg, scales=1, kernel=identity_kernel(3), voxel_size=0.4)
-        plain = voxelize(agg.xyz, agg.features, 0.4)
-        assert np.array_equal(fused[0].coords, plain.coords)
-        assert np.array_equal(fused[0].features, plain.features)
 
     def test_scale_zero_matches_voxelize_then_kernel(self):
         agg = self.agg()

@@ -266,7 +266,7 @@ class TestFixedKernel:
     def test_submanifold_keeps_the_coordinate_set(self):
         rng = np.random.default_rng(10)
         vmap = random_map(rng)
-        out = apply_fixed_kernel(vmap, seed=3)
+        out = apply_fixed_kernel(vmap, seeded_kernel(vmap.width, 3))
         assert np.array_equal(out.coords, vmap.coords)
 
     def test_matches_dense_oracle(self):
@@ -302,11 +302,6 @@ class TestFixedKernel:
         vmap = random_map(rng, width=3)
         with pytest.raises(ConfigurationError):
             apply_fixed_kernel(vmap, identity_kernel(5))
-
-    def test_needs_kernel_or_seed(self):
-        rng = np.random.default_rng(14)
-        with pytest.raises(ConfigurationError):
-            apply_fixed_kernel(random_map(rng))
 
 
 def flat_map(rng, axis, width=3, size=0.5) -> VoxelFeatureMap:
