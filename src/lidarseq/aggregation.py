@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .geometry import LabeledCloud, PointCloud, relative_pose
-from .sequence import SequenceFrame, _check_fields
+from .sequence import SequenceFrame, _from_mapping, _integer, _is_whole, _list, _number, _read_yaml
 
 INFINITE_STEP = math.inf
 
@@ -42,18 +41,11 @@ DEFAULT_WINDOW = 16
 LABEL_FIELD_SIZE = 1 << 16
 
 
-def _is_whole(value) -> bool:
-    """True for a finite integral number; a non-number fails as ``int()`` does."""
-    if isinstance(value, numbers.Real) and not math.isfinite(value):
-        return False
-    return int(value) == value
-
-
-def _check_step(step) -> float:
+def _check_step(step, name: str = "step") -> float:
     if step == INFINITE_STEP:
         return INFINITE_STEP
-    if isinstance(step, bool) or not _is_whole(step) or step < 1:
-        raise ConfigurationError(f"step must be a positive integer or infinite, got {step!r}")
+    if not _is_whole(step) or step < 1:
+        raise ConfigurationError(f"{name} must be a positive integer or infinite, got {step!r}")
     return float(int(step))
 
 
@@ -83,7 +75,10 @@ class ClassGroup:
     distance_split: DistanceSplit | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "classes", frozenset(int(c) for c in self.classes))
+        bad = sorted((c for c in self.classes if not _is_whole(c)), key=repr)
+        if bad:
+            raise ConfigurationError(f"classes must be integers, got {bad[0]!r}")
+        object.__setattr__(self, "classes", frozenset(map(int, self.classes)))
         if not self.classes:
             raise ConfigurationError("a class group cannot be empty")
         outside = sorted(c for c in self.classes if not 0 <= c < LABEL_FIELD_SIZE)
@@ -123,7 +118,7 @@ class GroupDivision:
             raise ConfigurationError(f"window must be a positive integer, got {self.window!r}")
         object.__setattr__(self, "window", int(self.window))
         if self.default_step is not None:
-            object.__setattr__(self, "default_step", _check_step(self.default_step))
+            object.__setattr__(self, "default_step", _check_step(self.default_step, "default_step"))
         seen: dict[int, int] = {}
         for gi, group in enumerate(self.groups):
             for cid in group.classes:
@@ -436,69 +431,49 @@ def division_preset(name: str, window: int = DEFAULT_WINDOW) -> GroupDivision:
     return _PRESET_BUILDERS[name](DEFAULT_CLASS_SCORES, window)
 
 
-def _parse_step(raw) -> float:
+def _parse_step(raw):
+    # inf / infinite name the infinite step; ClassGroup and GroupDivision check the rest
     if isinstance(raw, str) and raw.strip().lower() in {"inf", "infinite", ".inf"}:
         return INFINITE_STEP
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    raise ConfigurationError(f"cannot parse step {raw!r}")
+    return raw
+
+
+_split = _from_mapping(DistanceSplit, {"threshold_m": _number, "near_step_multiplier": _integer},
+                       "distance_split")
+_group = _from_mapping(ClassGroup, {  # ClassGroup checks the class ids and the step
+    "classes": _list, "step": _parse_step,
+    "distance_split": lambda raw: None if raw is None else _split(raw),
+}, "group")
+
+
+def _groups(items) -> tuple[ClassGroup, ...]:
+    if not isinstance(items, list):
+        raise ConfigurationError(f"expected a 'groups' list, got {items!r}")
+    groups = []
+    for gi, item in enumerate(items):
+        try:
+            groups.append(_group(item))
+        except ValueError as exc:
+            raise ConfigurationError(f"group {gi}: {exc}") from None
+    return tuple(groups)
+
+
+_division = _from_mapping(
+    GroupDivision, {"groups": _groups, "window": _integer, "default_step": _parse_step, "name": str},
+    "top-level",
+)
 
 
 def load_division(path) -> GroupDivision:
-    """Read a division from YAML. Schema::
-
-        name: my-division        # optional
-        window: 16               # optional
-        default_step: inf        # optional; null forbids unmapped classes
-        groups:
-          - classes: [1, 9, 13]
-            step: inf
-          - classes: [3, 11]
-            step: 4
-            distance_split: {threshold_m: 30.0, near_step_multiplier: 2}
-
-    Any other key is an error, so a misspelt one cannot go unnoticed.
-    """
-    import yaml  # only a division file needs it; keeps CLI start-up short
-
+    """Read a division from YAML; the keys mirror the GroupDivision,
+    ClassGroup and DistanceSplit fields (README, "Division YAML"), a step
+    may be ``inf``, and ``name`` defaults to the file stem."""
+    raw = _read_yaml(path, ConfigurationError)
+    if isinstance(raw, Mapping):
+        raw = {"name": Path(path).stem, **raw}
     try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"{path}: not valid YAML ({exc})") from None
-    if not isinstance(raw, dict) or not isinstance(raw.get("groups"), list):
-        raise ConfigurationError(f"{path}: expected a mapping with a 'groups' list")
-    groups = []
-    for gi, item in enumerate(raw["groups"]):
-        try:
-            split = item.get("distance_split")
-            if split is not None:
-                split = DistanceSplit(
-                    threshold_m=float(split["threshold_m"]),
-                    near_step_multiplier=int(split.get("near_step_multiplier", 2)),
-                )
-                _check_fields(item["distance_split"], DistanceSplit, "distance_split", ConfigurationError)
-            classes = frozenset(int(c) for c in item["classes"])
-            groups.append(ClassGroup(classes, _parse_step(item["step"]), split))
-            _check_fields(item, ClassGroup, "group", ConfigurationError)
-        except KeyError as exc:
-            raise ConfigurationError(f"{path}: group {gi} is missing {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{path}: group {gi}: {exc}") from None
-    try:
-        _check_fields(raw, GroupDivision, "top-level", ConfigurationError)
-        default_step = raw.get("default_step", INFINITE_STEP)
-        if default_step is not None:
-            default_step = _parse_step(default_step)
-        window = raw.get("window", DEFAULT_WINDOW)
-        if not _is_whole(window):
-            raise ValueError(f"window must be an integer, got {window!r}")
-        return GroupDivision(
-            tuple(groups),
-            window=window,
-            default_step=default_step,
-            name=str(raw.get("name", Path(path).stem)),
-        )
-    except (TypeError, ValueError) as exc:  # ConfigurationError is a ValueError
+        return _division(raw)
+    except ValueError as exc:  # ConfigurationError is a ValueError
         raise ConfigurationError(f"{path}: {exc}") from None
 
 

@@ -22,9 +22,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregation import AggregatedCloud, _is_whole, _walk
+from .aggregation import AggregatedCloud, _walk
 from .errors import ConfigurationError, FormatError, InvalidInputError
-from .sequence import CameraCalib, SequenceFrame
+from .sequence import CameraCalib, SequenceFrame, _is_whole
 from .voxels import (
     DEFAULT_VOXEL_SIZE,
     VoxelFeatureMap,

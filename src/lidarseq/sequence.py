@@ -18,8 +18,9 @@ coordinates to a common world frame.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -222,34 +223,32 @@ def load_sequence(
     return frames
 
 
-def load_camera_calib(seq_dir, image_size: tuple[int, int] | None = None) -> CameraCalib:
-    """Build a CameraCalib from calib.txt; image size comes from the caller
-    or from the first .ppm, .pgm or .fmap file under image_2/ by name; other
-    files there, such as a .gitkeep, are passed over."""
+def load_camera_calib(seq_dir) -> CameraCalib:
+    """Build a CameraCalib from calib.txt; the image size comes from the first
+    .ppm, .pgm or .fmap file under image_2/ by name; other files there, such
+    as a .gitkeep, are passed over."""
+    from .imaging import _IMAGE_SUFFIXES, peek_image_size  # late import, imaging pulls geometry
+
     seq_dir = Path(seq_dir)
     entries = _parse_calib(seq_dir / "calib.txt")
     if "P2" not in entries:
         raise FormatError(f"{seq_dir / 'calib.txt'}: missing P2 entry")
     p2 = entries["P2"]
-    if image_size is None:
-        from .imaging import _IMAGE_SUFFIXES, peek_image_size  # late import, imaging pulls geometry
-
-        image_dir = seq_dir / "image_2"
-        found = image_dir.glob("*") if image_dir.is_dir() else []
-        candidates = sorted(p for p in found if p.suffix in _IMAGE_SUFFIXES)
-        if not candidates:
-            raise InvalidInputError(
-                f"{image_dir}: no images to take the image size from; pass image_size explicitly"
-            )
-        image_size = peek_image_size(candidates[0])
+    image_dir = seq_dir / "image_2"
+    candidates = sorted(p for p in image_dir.glob("*") if p.suffix in _IMAGE_SUFFIXES)
+    if not candidates:
+        raise InvalidInputError(
+            f"{image_dir}: no image ({', '.join(_IMAGE_SUFFIXES)}) to take the image size from"
+        )
+    width, height = peek_image_size(candidates[0])
     return CameraCalib(
         fx=float(p2[0, 0]),
         fy=float(p2[1, 1]),
         cx=float(p2[0, 2]),
         cy=float(p2[1, 2]),
         extrinsic=Pose(entries["Tr"]),
-        width=int(image_size[0]),
-        height=int(image_size[1]),
+        width=width,
+        height=height,
     )
 
 
@@ -516,74 +515,99 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> list[SequenceFrame]:
     return frames
 
 
-def load_scene_spec(path) -> SyntheticSceneSpec:
-    """Parse a YAML scene spec; keys mirror the SyntheticSceneSpec fields,
-    and a key that names no field is an error."""
-    import yaml  # only a scene spec needs it; keeps CLI start-up short
+def _is_whole(value) -> bool:
+    """The one integer rule: a finite integral number, and not a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value) and int(value) == value
+
+
+def _integer(value) -> int:
+    if not _is_whole(value):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"must be a list, got {value!r}")
+    return list(value)
+
+
+def _vector(value) -> tuple[float, float, float]:
+    if len(_list(value)) != 3:
+        raise TypeError(f"must be a list of three numbers, got {value!r}")
+    return tuple(map(_number, value))
+
+
+def _class_fractions(value) -> dict[int, float]:
+    if not isinstance(value, Mapping) or not all(map(_is_whole, value)):
+        raise TypeError(f"must map integer class ids to fractions, got {value!r}")
+    return {int(cid): _number(fraction) for cid, fraction in value.items()}
+
+
+def _from_mapping(spec_type, convert: Mapping, what: str):
+    """Converter of a mapping to ``spec_type``: each key given goes through its
+    converter, whose TypeError the key prefixes; an absent key keeps the
+    dataclass default, and a key with no converter is an error."""
+
+    def build(raw):
+        if not isinstance(raw, Mapping):
+            raise InvalidSpecError(f"expected a mapping of {what} keys, got {raw!r}")
+        unknown = sorted(str(key) for key in raw if key not in convert)
+        if unknown:
+            raise InvalidSpecError(
+                f"unknown {what} key {unknown[0]!r}; known keys: {', '.join(sorted(convert))}"
+            )
+        for f in fields(spec_type):
+            if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+                raise InvalidSpecError(f"missing {what} key {f.name!r}")
+        given = {}
+        for key, value in raw.items():
+            try:
+                given[key] = convert[key](value)
+            except TypeError as exc:
+                raise InvalidSpecError(f"{key} {exc}") from None
+        return spec_type(**given)
+
+    return build
+
+
+def _read_yaml(path, error):
+    import yaml  # only a config file needs it; keeps CLI start-up short
 
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        return yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:
-        raise InvalidSpecError(f"{path}: not valid YAML ({exc})") from None
-    if not isinstance(raw, dict):
-        raise InvalidSpecError(f"{path}: expected a mapping at top level")
-    return scene_spec_from_mapping(raw, where=str(path))
+        raise error(f"{path}: not valid YAML ({exc})") from None
 
 
-def _check_fields(raw: Mapping, spec_type, what: str, error=InvalidSpecError) -> None:
-    """Reject a key that names no field of ``spec_type``: a misspelt optional
-    key would otherwise leave its field at the default without a word."""
-    known = sorted(f.name for f in fields(spec_type))
-    unknown = sorted(str(key) for key in raw if key not in known)
-    if unknown:
-        raise error(f"unknown {what} key {unknown[0]!r}; known keys: {', '.join(known)}")
+_instance = _from_mapping(InstanceSpec, {"class_id": _integer, "points": _integer, "center": _vector,
+                          "size": _vector, "velocity": _vector, "instance_id": _integer}, "instance")
+_scene_spec = _from_mapping(SyntheticSceneSpec, {
+    "frame_count": _integer, "points_per_frame": _integer, "seed": _integer, "extent": _number,
+    "classes": _class_fractions,
+    "instances": lambda items: tuple(map(_instance, _list(items))),
+    "ego": _from_mapping(EgoSpec, {"start": _vector, "velocity": _vector, "yaw_rate_deg": _number}, "ego"),
+    "camera": _from_mapping(CameraSpec, {"width": _integer, "height": _integer}, "camera"),
+}, "top-level")
+
+
+def load_scene_spec(path) -> SyntheticSceneSpec:
+    """Parse a YAML scene spec; keys mirror the SyntheticSceneSpec fields."""
+    return scene_spec_from_mapping(_read_yaml(path, InvalidSpecError), where=str(path))
 
 
 def scene_spec_from_mapping(raw: Mapping, where: str = "spec") -> SyntheticSceneSpec:
+    """Build a scene spec from the keys of ``raw``; any error names ``where``."""
     try:
-        classes = {int(k): float(v) for k, v in dict(raw["classes"]).items()}
-        instances = tuple(
-            InstanceSpec(
-                class_id=int(item["class_id"]),
-                points=int(item["points"]),
-                center=tuple(float(v) for v in item["center"]),
-                size=tuple(float(v) for v in item.get("size", (3.0, 1.8, 1.5))),
-                velocity=tuple(float(v) for v in item.get("velocity", (0, 0, 0))),
-                instance_id=(
-                    int(item["instance_id"]) if "instance_id" in item else None
-                ),
-            )
-            for item in raw.get("instances", [])
-        )
-        ego_raw = raw.get("ego", {})
-        ego = EgoSpec(
-            start=tuple(float(v) for v in ego_raw.get("start", (0, 0, 0))),
-            velocity=tuple(float(v) for v in ego_raw.get("velocity", (0, 0, 0))),
-            yaw_rate_deg=float(ego_raw.get("yaw_rate_deg", 0.0)),
-        )
-        cam_raw = raw.get("camera", {})
-        camera = CameraSpec(
-            width=int(cam_raw.get("width", 64)),
-            height=int(cam_raw.get("height", 48)),
-        )
-        for item in raw.get("instances", []):
-            _check_fields(item, InstanceSpec, "instance")
-        _check_fields(ego_raw, EgoSpec, "ego")
-        _check_fields(cam_raw, CameraSpec, "camera")
-        _check_fields(raw, SyntheticSceneSpec, "top-level")
-        return SyntheticSceneSpec(
-            frame_count=int(raw["frame_count"]),
-            points_per_frame=int(raw["points_per_frame"]),
-            classes=classes,
-            instances=instances,
-            ego=ego,
-            camera=camera,
-            seed=int(raw.get("seed", 0)),
-            extent=float(raw.get("extent", 40.0)),
-        )
-    except KeyError as exc:
-        raise InvalidSpecError(f"{where}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+        return _scene_spec(raw)
+    except ValueError as exc:
         raise InvalidSpecError(f"{where}: {exc}") from None
 
 

@@ -464,6 +464,18 @@ class TestDivisions:
                 ClassGroup(frozenset({1, bad}), 2)
         assert ClassGroup(frozenset({0, 65535}), 2).classes == {0, 65535}
 
+    def test_class_ids_follow_the_integer_rule(self):
+        # an id is never rounded: 1.5 is not class 1, and True is not class 1
+        with pytest.raises(ConfigurationError, match="classes must be integers, got 1.5"):
+            ClassGroup({1.5, 2}, 2)
+        with pytest.raises(ConfigurationError, match="classes must be integers, got True"):
+            ClassGroup({True}, 2)
+
+    def test_absent_division_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "rig.yaml"
+        path.write_text("groups:\n  - classes: [1]\n    step: 2\n")
+        assert load_division(path) == GroupDivision((ClassGroup(frozenset({1}), 2),), name="rig")
+
     def test_division_yaml_round_trip(self, tmp_path):
         text = """
 name: rig

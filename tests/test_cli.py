@@ -26,7 +26,7 @@ from lidarseq.augment import (
     extract_track,
 )
 from lidarseq.cli import main
-from lidarseq.errors import ConfigurationError
+from lidarseq.errors import ConfigurationError, InvalidSpecError
 from lidarseq.imaging import (
     DEFAULT_IMAGE_STEP,
     DEFAULT_IMAGE_WINDOW,
@@ -40,6 +40,7 @@ from lidarseq.sequence import (
     corrupt_labels,
     generate_synthetic,
     load_camera_calib,
+    load_scene_spec,
     load_sequence,
     scene_spec_from_mapping,
     write_sequence,
@@ -166,6 +167,27 @@ class TestSynth:
             assert main(["synth", str(path), "--out", str(tmp_path / "x")]) == 2
             assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    def test_coerced_spec_values_are_data_errors(self, tmp_path, capsys):
+        # a value is taken as written: never rounded, never parsed from a string
+        base = {"frame_count": 3, "points_per_frame": 120, "classes": {1: 0.5, 9: 0.5}}
+        instance = {"class_id": 1, "points": 5.5, "center": [1.0, 2.0, 0.0]}
+        cases = {
+            "frame_count": ({**base, "frame_count": 2.5}, "frame_count must be an integer, got 2.5"),
+            "seed": ({**base, "seed": "7"}, "seed must be an integer, got '7'"),
+            "width": ({**base, "camera": {"width": 32.7}}, "width must be an integer, got 32.7"),
+            "points": ({**base, "instances": [instance]}, "points must be an integer, got 5.5"),
+            "fractional_class": ({**base, "classes": {1.9: 1.0}}, "classes must map integer class ids"),
+            "quoted_class": ({**base, "classes": {"9": 1.0}}, "classes must map integer class ids"),
+        }
+        for name, (mapping, message) in cases.items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(mapping))
+            with pytest.raises(InvalidSpecError) as info:
+                load_scene_spec(path)
+            assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+            assert main(["synth", str(path), "--out", str(tmp_path / name)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
 
 class TestAggregate:
     def test_fsa_dump_matches_the_library(self, seq_dir, tmp_path, capsys):
@@ -222,7 +244,7 @@ class TestAggregate:
                 "group 1",
             ),
             "yaml_syntax": ("groups: [\n", "not valid YAML"),
-            "bad_window": ("window: abc\ngroups:\n" + good, "invalid literal for int"),
+            "bad_window": ("window: abc\ngroups:\n" + good, "window must be an integer, got 'abc'"),
             "fractional_window": ("window: 2.5\ngroups:\n" + good, "window must be an integer"),
             "inf_window": ("window: .inf\ngroups:\n" + good, "window must be an integer"),
             "zero_window": ("window: 0\ngroups:\n" + good, "window must be a positive integer"),
@@ -248,6 +270,29 @@ class TestAggregate:
             assert code == 1
             err = capsys.readouterr().err
             assert path.name in err and where in err
+
+    def test_coerced_division_values_are_usage_errors(self, seq_dir, tmp_path, capsys):
+        # a value is taken as written: never rounded, never parsed from a string
+        split = "  - classes: [1]\n    step: 2\n    distance_split: "
+        cases = {
+            "fractional_class": ("  - classes: [1.5]\n    step: 2\n", "classes must be integers, got 1.5"),
+            "quoted_class": ("  - classes: ['3']\n    step: 2\n", "classes must be integers, got '3'"),
+            "boolean_step": ("  - classes: [1]\n    step: true\n",
+                             "step must be a positive integer or infinite, got True"),
+            "fractional_multiplier": (split + "{threshold_m: 5.0, near_step_multiplier: 2.5}\n",
+                                      "near_step_multiplier must be an integer, got 2.5"),
+            "quoted_threshold": (split + "{threshold_m: '5'}\n", "threshold_m must be a number, got '5'"),
+        }
+        for name, (group, message) in cases.items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text("groups:\n" + group)
+            with pytest.raises(ConfigurationError) as info:
+                load_division(path)
+            assert str(info.value) == f"{path}: group 0: {message}"
+            code = main(["aggregate", "--sequence", str(seq_dir), "--strategy", "fsa",
+                         "--division", str(path)])
+            assert code == 1
+            assert capsys.readouterr().err == f"usage error: {path}: group 0: {message}\n"
 
     def test_malformed_sequence_files_are_data_errors(self, seq_dir, capsys):
         times = seq_dir / "times.txt"
@@ -415,6 +460,16 @@ class TestLift:
         (seq_dir / "image_2" / ".gitkeep").write_bytes(b"")
         assert main(["lift", "--sequence", str(seq_dir), *options, "--out", str(stray)]) == 0
         assert stray.read_bytes() == clean.read_bytes()
+
+    def test_no_image_to_size_from_names_the_directory_and_suffixes(self, seq_dir, capsys):
+        image_dir = seq_dir / "image_2"
+        shutil.rmtree(image_dir)
+        image_dir.mkdir()
+        (image_dir / ".gitkeep").write_bytes(b"")
+        assert main(["lift", "--sequence", str(seq_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {image_dir}: no image (.ppm, .pgm, .fmap) to take the image size from\n"
+        )
 
     def test_truncated_first_image_is_named(self, seq_dir, capsys):
         first = seq_dir / "image_2" / "000000.ppm"

@@ -4,6 +4,7 @@ The round-trip tests treat the writer as the reference serializer: whatever
 load_sequence returns must re-serialize to the very same bytes.
 """
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import lidarseq.sequence as seqio
 from lidarseq.errors import FormatError, InvalidInputError, InvalidSpecError
 from lidarseq.geometry import LabeledCloud, Pose, PointCloud
+from lidarseq.imaging import synthetic_feature_image, write_image
 from lidarseq.sequence import (
     EgoSpec,
     InstanceSpec,
@@ -47,6 +49,12 @@ def demo_spec(**overrides) -> SyntheticSceneSpec:
     return SyntheticSceneSpec(**base)
 
 
+def write_first_image(seq_dir: Path, calib) -> None:
+    """One image of the calibrated size, which load_camera_calib sizes from."""
+    (seq_dir / "image_2").mkdir()
+    write_image(seq_dir / "image_2" / "000000.ppm", synthetic_feature_image(calib, 0))
+
+
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -61,8 +69,10 @@ class TestRoundTrip:
         calib = default_camera_calib()
         first, second = tmp_path / "a", tmp_path / "b"
         write_sequence(first, frames, calib)
+        write_first_image(first, calib)
         loaded = load_sequence(first)
-        write_sequence(second, loaded, load_camera_calib(first, image_size=(64, 48)))
+        write_sequence(second, loaded, load_camera_calib(first))
+        shutil.copytree(first / "image_2", second / "image_2")
         assert tree_bytes(first) == tree_bytes(second)
 
     def test_payloads_survive_the_trip(self, tmp_path):
@@ -99,9 +109,10 @@ class TestRoundTrip:
         frames = generate_synthetic(demo_spec())
         calib = default_camera_calib(128, 96)
         write_sequence(tmp_path / "seq", frames, calib)
-        got = load_camera_calib(tmp_path / "seq", image_size=(128, 96))
-        assert (got.fx, got.fy, got.cx, got.cy) == (
-            calib.fx, calib.fy, calib.cx, calib.cy,
+        write_first_image(tmp_path / "seq", calib)
+        got = load_camera_calib(tmp_path / "seq")
+        assert (got.fx, got.fy, got.cx, got.cy, got.width, got.height) == (
+            calib.fx, calib.fy, calib.cx, calib.cy, 128, 96,
         )
         assert np.array_equal(got.extrinsic.matrix, calib.extrinsic.matrix)
 
@@ -322,6 +333,19 @@ camera: {width: 32, height: 24}
         frames = generate_synthetic(spec)
         assert frames[0].count == 120
 
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "scene.yaml"
+        path.write_text(
+            "frame_count: 3\npoints_per_frame: 120\nclasses: {1: 0.5, 9: 0.5}\n"
+            "instances: [{class_id: 1, points: 5, center: [1, 2, 0]}]\nego: {}\ncamera: {}\n"
+        )
+        assert load_scene_spec(path) == SyntheticSceneSpec(
+            frame_count=3,
+            points_per_frame=120,
+            classes={1: 0.5, 9: 0.5},
+            instances=(InstanceSpec(class_id=1, points=5, center=(1.0, 2.0, 0.0)),),
+        )
+
     def test_mapping_errors_become_spec_errors(self):
         with pytest.raises(InvalidSpecError, match="frame_count"):
             scene_spec_from_mapping({"points_per_frame": 10, "classes": {1: 1.0}})
@@ -330,9 +354,9 @@ camera: {width: 32, height: 24}
         base = "frame_count: 3\npoints_per_frame: 120\nclasses: {1: 1.0}\n"
         cases = {
             "yaml_syntax": ("classes: {9: [\n", "not valid YAML"),
-            "scalar_ego": (base + "ego: 5\n", "has no attribute"),
-            "scalar_camera": (base + "camera: 5\n", "has no attribute"),
-            "scalar_instance": (base + "instances: [5]\n", "not subscriptable"),
+            "scalar_ego": (base + "ego: 5\n", "expected a mapping of ego keys, got 5"),
+            "scalar_camera": (base + "camera: 5\n", "expected a mapping of camera keys, got 5"),
+            "scalar_instance": (base + "instances: [5]\n", "expected a mapping of instance keys, got 5"),
             # a misspelt optional key used to leave its default in place silently
             "top_level_typo": (base + "sede: 4\n", "unknown top-level key 'sede'"),
             "instance_typo": (
