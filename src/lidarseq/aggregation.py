@@ -14,9 +14,10 @@ of its window, so each of those frames is checked for unmapped classes. A
 lookup table over the 16-bit label field gives every point the step of its
 class's group (unmapped classes take the division's default step, near
 points of a distance-split group the near step), and a point at offset k is
-kept when its step divides k. Only kept rows are moved. Rows come out in a
-fixed order: the present sweep, then past sweeps by ascending offset, each
-in its source order.
+kept when its step divides k. The kept rows of every frame are picked first,
+then each part is written once into its slice of one output, and only kept
+rows are moved. Rows come out present sweep first, then past sweeps by
+ascending offset, each in its source order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .geometry import LabeledCloud, PointCloud, relative_pose
-from .sequence import SequenceFrame, _from_mapping, _integer, _is_whole, _list, _number, _read_yaml
+from .sequence import SequenceFrame, _entries, _from_mapping, _integer, _is_whole, _list, _number, _read_yaml
 
 INFINITE_STEP = math.inf
 
@@ -236,10 +237,10 @@ def _aggregate(
     thresholds = np.array(splits + [0.0]).repeat(2)
     uniform = bool((steps == steps[0]).all())
 
-    # (frame, kept rows, rows moved into frame t, step tags), present first
-    parts = []
+    # pass 1: each walked frame's kept rows (None for all of them), present first
+    picks = []  # (frame, pose into frame t, kept rows, step tags)
     for frame, pose in _walk(frames, t, walked_steps(groups, default_step), window):
-        xyz, semantic = frame.labeled.cloud.xyz, frame.labeled.semantic
+        semantic = frame.labeled.semantic
         if default_step is None or (pose is not None and not uniform):
             code = np.take(table, semantic + 1, mode="clip")
         if default_step is None and (code == 2 * default).any():
@@ -249,37 +250,39 @@ def _aggregate(
                 f"any group and the division has no default group"
             )
         if pose is None:
-            parts.append((frame, slice(None), xyz, np.zeros(frame.count, np.int64)))
+            picks.append((frame, None, None, 0))
             continue
         keep = (t - frame.index) % steps == 0  # per code; the infinite step never divides
         if not keep.any():  # walked only for the unmapped-class check
             continue
         if uniform:
-            rows, step_tags = slice(None), np.full(frame.count, tags[0])
-        else:
-            if (keep & (thresholds > 0)).any():
-                # range in the sweep's own sensor frame, once per frame
-                code += np.linalg.norm(xyz, axis=1) < thresholds[code]
-            rows = slice(None) if keep.all() else keep[code]
-            step_tags = tags[code[rows]]
-            if step_tags.shape[0] == 0:
-                continue
-        parts.append((frame, rows, pose.apply(xyz[rows]), step_tags))
+            picks.append((frame, pose, None, tags[0]))
+            continue
+        if (keep & (thresholds > 0)).any():
+            # range in the sweep's own sensor frame, once per frame, in norm's order
+            x, y, z = frame.labeled.cloud.xyz.T
+            code += np.sqrt(x * x + y * y + z * z) < thresholds[code]
+        rows = None if keep.all() else np.flatnonzero(keep[code])
+        if rows is None or rows.shape[0]:
+            picks.append((frame, pose, rows, tags[code if rows is None else code[rows]]))
 
-    def column(get):
-        return np.concatenate([get(frame.labeled)[rows] for frame, rows, _, _ in parts])
-
-    labeled = LabeledCloud(
-        PointCloud(np.concatenate([p[2] for p in parts]), column(lambda l: l.cloud.intensity)),
-        column(lambda l: l.semantic),
-        column(lambda l: l.instance),
-    )
-    return AggregatedCloud(
-        labeled,
-        np.repeat(np.array([p[0].index for p in parts], np.int64), [p[2].shape[0] for p in parts]),
-        np.concatenate([p[3] for p in parts]),
-        t,
-    )
+    # pass 2: each part written once into its slice of one output
+    sizes = [frame.count if rows is None else rows.shape[0] for frame, _, rows, _ in picks]
+    starts = np.cumsum([0] + sizes).tolist()
+    n = starts[-1]
+    outs = (np.empty((n, 3)), np.empty(n), *(np.empty(n, np.int64) for _ in range(4)))
+    for (frame, pose, rows, step_tags), start, stop in zip(picks, starts, starts[1:]):
+        part, labeled = slice(start, stop), frame.labeled
+        kept = [labeled.cloud.xyz, labeled.cloud.intensity, labeled.semantic, labeled.instance]
+        if rows is not None:  # mode="clip" takes straight into out; "raise" would buffer
+            kept = [np.take(c, rows, axis=0, out=o[part], mode="clip") for o, c in zip(outs, kept)]
+        if pose is not None:
+            kept[0] = pose.apply(kept[0])
+        for out, column in zip(outs, kept + [frame.index, step_tags]):
+            out[part] = column  # a no-op where np.take already wrote the slice
+    xyz, intensity, semantic, instance, source_frame, source_step = outs
+    labeled = LabeledCloud(PointCloud(xyz, intensity), semantic, instance)
+    return AggregatedCloud(labeled, source_frame, source_step, t)
 
 
 def aggregate_direct(frames: Sequence[SequenceFrame], t: int, window: int) -> AggregatedCloud:
@@ -449,13 +452,7 @@ _group = _from_mapping(ClassGroup, {  # ClassGroup checks the class ids and the 
 def _groups(items) -> tuple[ClassGroup, ...]:
     if not isinstance(items, list):
         raise ConfigurationError(f"expected a 'groups' list, got {items!r}")
-    groups = []
-    for gi, item in enumerate(items):
-        try:
-            groups.append(_group(item))
-        except ValueError as exc:
-            raise ConfigurationError(f"group {gi}: {exc}") from None
-    return tuple(groups)
+    return _entries(_group, items, "group", ConfigurationError)
 
 
 _division = _from_mapping(

@@ -129,10 +129,11 @@ def extract_track(agg: AggregatedCloud, instance_id: int) -> InstanceTrack:
     present-frame coordinates. An instance seen in fewer than two frames has
     no temporal structure to rewrite.
     """
-    rows = agg.labeled.instance == instance_id
-    if not rows.any():
+    rows = np.flatnonzero(agg.labeled.instance == instance_id)
+    if rows.shape[0] == 0:
         raise NotAugmentableError(f"instance {instance_id} is not in the cloud")
-    frames_present = np.unique(agg.source_frame[rows])
+    source = agg.source_frame[rows]
+    frames_present = np.unique(source)
     if frames_present.shape[0] < 2:
         raise NotAugmentableError(
             f"instance {instance_id} appears in a single frame; nothing to switch"
@@ -140,15 +141,10 @@ def extract_track(agg: AggregatedCloud, instance_id: int) -> InstanceTrack:
     semantic = agg.labeled.semantic[rows]
     ids, freq = np.unique(semantic, return_counts=True)
     class_id = int(ids[np.argmax(freq)])
-    xyz = agg.labeled.cloud.xyz
-    intensity = agg.labeled.cloud.intensity
-    parts = []
-    for frame in frames_present[::-1]:
-        pick = rows & (agg.source_frame == frame)
-        parts.append(PointCloud(xyz[pick], intensity[pick]))
-    return InstanceTrack(
-        int(instance_id), class_id, tuple(int(f) for f in frames_present[::-1]), tuple(parts)
-    )
+    cloud = agg.labeled.cloud
+    picks = [rows[source == frame] for frame in frames_present[::-1]]
+    parts = tuple(PointCloud(cloud.xyz[pick], cloud.intensity[pick]) for pick in picks)
+    return InstanceTrack(int(instance_id), class_id, tuple(int(f) for f in frames_present[::-1]), parts)
 
 
 def _max_centroid_spread(track: InstanceTrack) -> float:
@@ -187,6 +183,12 @@ def _motion_axis(track: InstanceTrack) -> np.ndarray:
 
 
 def _fewest_points_anchor(anchors: AnchorSet, scene_xyz: np.ndarray) -> int:
+    # only points in the anchors' box widened by twice the coverage radius
+    # can be covered; so wide a margin leaves rounding no edge to cut
+    reach = 2 * anchors.coverage_radius
+    lo, hi = anchors.positions.min(axis=0) - reach, anchors.positions.max(axis=0) + reach
+    x, y = scene_xyz[:, 0], scene_xyz[:, 1]
+    scene_xyz = scene_xyz[(x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1])]
     counts = []
     for pos in anchors.positions:
         d2 = (scene_xyz[:, 0] - pos[0]) ** 2 + (scene_xyz[:, 1] - pos[1]) ** 2
@@ -262,11 +264,12 @@ def apply_switch(
     new_state = classify_motion(track_new, threshold)
     xyz = agg.labeled.cloud.xyz.copy()
     semantic = agg.labeled.semantic.copy()
-    instance_rows = agg.labeled.instance == track_old.instance_id
+    rows = np.flatnonzero(agg.labeled.instance == track_old.instance_id)
+    source = agg.source_frame[rows]
 
     for frame, old_part, new_part in zip(track_old.frames, track_old.parts, track_new.parts):
-        pick = instance_rows & (agg.source_frame == frame)
-        if int(pick.sum()) != old_part.count or not np.array_equal(xyz[pick], old_part.xyz):
+        pick = rows[source == frame]
+        if pick.shape[0] != old_part.count or not np.array_equal(xyz[pick], old_part.xyz):
             raise InvalidInputError(
                 f"track part at frame {frame} does not match the aggregated cloud"
             )

@@ -205,10 +205,11 @@ def load_sequence(
         stem = f"{idx:06d}"
         bin_path = seq_dir / "velodyne" / f"{stem}.bin"
         label_path = seq_dir / "labels" / f"{stem}.label"
-        cloud = _decode_points(_read_bytes(bin_path), bin_path)
-        semantic, instance = _decode_labels(
-            _read_bytes(label_path), cloud.count, label_path
-        )
+        try:
+            cloud = _decode_points(_read_bytes(bin_path), bin_path)
+            semantic, instance = _decode_labels(_read_bytes(label_path), cloud.count, label_path)
+        except FileNotFoundError as exc:
+            raise FormatError(f"{exc.filename}: no such file for frame {idx}") from None
         pose = compose(compose(tr_inv, Pose(pose_rows[idx])), tr)
         stamp = times[idx] if times is not None else idx * FRAME_PERIOD_S
         frames.append(
@@ -258,7 +259,16 @@ def _format_matrix(mat: np.ndarray) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(mat).reshape(-1))
 
 
-def default_camera_calib(width: int = 64, height: int = 48) -> CameraCalib:
+@dataclass(frozen=True)
+class CameraSpec:  # holds the one default camera size
+    width: int = 64
+    height: int = 48
+
+    def calib(self) -> CameraCalib:
+        return default_camera_calib(self.width, self.height)
+
+
+def default_camera_calib(width: int = CameraSpec.width, height: int = CameraSpec.height) -> CameraCalib:
     """Forward-looking camera with LiDAR axes permuted into optical axes."""
     rot = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
     return CameraCalib(
@@ -350,15 +360,6 @@ class EgoSpec:
     start: tuple[float, float, float] = (0.0, 0.0, 0.0)
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     yaw_rate_deg: float = 0.0  # degrees per second
-
-
-@dataclass(frozen=True)
-class CameraSpec:
-    width: int = 64
-    height: int = 48
-
-    def calib(self) -> CameraCalib:
-        return default_camera_calib(self.width, self.height)
 
 
 @dataclass(frozen=True)
@@ -587,12 +588,23 @@ def _read_yaml(path, error):
         raise error(f"{path}: not valid YAML ({exc})") from None
 
 
+def _entries(build, items, what: str, error) -> tuple:
+    """Every item of a list built in turn; an error names the item's place."""
+    built = []
+    for i, item in enumerate(items):
+        try:
+            built.append(build(item))
+        except ValueError as exc:  # the toolkit's spec and config errors are ValueErrors
+            raise error(f"{what} {i}: {exc}") from None
+    return tuple(built)
+
+
 _instance = _from_mapping(InstanceSpec, {"class_id": _integer, "points": _integer, "center": _vector,
                           "size": _vector, "velocity": _vector, "instance_id": _integer}, "instance")
 _scene_spec = _from_mapping(SyntheticSceneSpec, {
     "frame_count": _integer, "points_per_frame": _integer, "seed": _integer, "extent": _number,
     "classes": _class_fractions,
-    "instances": lambda items: tuple(map(_instance, _list(items))),
+    "instances": lambda items: _entries(_instance, _list(items), "instance", InvalidSpecError),
     "ego": _from_mapping(EgoSpec, {"start": _vector, "velocity": _vector, "yaw_rate_deg": _number}, "ego"),
     "camera": _from_mapping(CameraSpec, {"width": _integer, "height": _integer}, "camera"),
 }, "top-level")

@@ -27,8 +27,8 @@ from lidarseq.aggregation import (
     sampled_offsets,
 )
 from lidarseq.errors import ConfigurationError, InvalidInputError
-from lidarseq.geometry import LabeledCloud, relative_pose
-from lidarseq.sequence import corrupt_labels, generate_synthetic
+from lidarseq.geometry import LabeledCloud, PointCloud, Pose, relative_pose
+from lidarseq.sequence import SequenceFrame, corrupt_labels, generate_synthetic
 
 from helpers import (
     agg_rows,
@@ -242,6 +242,30 @@ class TestDistanceSplit:
         # near-tagged points only come from offsets divisible by 4
         assert set((16 - out.source_frame[near_rows]).tolist()) <= {4, 8, 12, 16}
 
+    def test_points_on_the_threshold_follow_the_oracle(self):
+        # Points at 30 m exactly and one ulp either side, on the axes, on
+        # diagonals and in random directions; the oracle measures range with
+        # np.linalg.norm, so the split must decide every one the same way.
+        rng = np.random.default_rng(5)
+        directions = rng.normal(size=(200, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        exact = np.vstack([np.eye(3) * 30.0, -np.eye(3) * 30.0, [[18.0, 24.0, 0.0]],
+                           [[0.0, -18.0, 24.0]], [[10.0, 20.0, 20.0]], directions * 30.0])
+        xyz = np.vstack([exact, np.nextafter(exact, 0.0), np.nextafter(exact, 2.0 * exact)])
+        labeled = LabeledCloud(PointCloud(xyz, np.full(len(xyz), 0.5)),
+                               np.ones(len(xyz), np.int64), np.zeros(len(xyz), np.int64))
+        frames = [SequenceFrame(i, labeled, Pose.from_rotation_translation(np.eye(3), [i, 0.0, 0.0]),
+                                0.1 * i) for i in range(3)]
+        division = GroupDivision((ClassGroup(frozenset({1}), 1, DistanceSplit(30.0)),), window=2)
+        out = aggregate_fsa(frames, 2, division)
+        want = fsa_oracle_rows(frames, 2, division)
+        assert np.array_equal(sort_rows(agg_rows(out)), sort_rows(want))
+        # offset 1 drops exactly the near points; (30, 0, 0) and beyond stay
+        near = np.linalg.norm(xyz, axis=1) < 30.0
+        assert 0 < near.sum() < len(xyz)
+        assert (out.source_frame == 1).sum() == (~near).sum()
+        assert near[len(exact) + 0] and not near[0] and not near[2 * len(exact)]
+
     def test_split_on_infinite_step_is_rejected(self):
         with pytest.raises(ConfigurationError):
             ClassGroup(frozenset({1}), INFINITE_STEP, DistanceSplit(threshold_m=30.0))
@@ -397,6 +421,101 @@ class TestAggregateFsa:
         b = aggregate_fsa(frames, 7, division)
         assert np.array_equal(a.labeled.cloud.xyz, b.labeled.cloud.xyz)
         assert np.array_equal(a.source_step, b.source_step)
+
+
+class TestAssembly:
+    """Rows are written straight into one output; a per-part concatenation
+    of independently picked rows is the reference."""
+
+    @staticmethod
+    def concatenated(frames, t, window, groups, default_step):
+        by_index = {f.index: f for f in frames}
+        step_of = {c: (g.step, g.near_step(), g.distance_split) for g in groups for c in g.classes}
+        fallback = (default_step, default_step, None)
+        parts = []
+        for offset in range(0, window + 1):
+            frame = by_index.get(t - offset)
+            if frame is None:
+                continue
+            xyz, labeled = frame.labeled.cloud.xyz, frame.labeled
+            if offset == 0:
+                parts.append((frame, np.ones(frame.count, bool), xyz, np.zeros(frame.count, np.int64)))
+                continue
+            steps = np.array([
+                near if split is not None and np.linalg.norm(point) < split.threshold_m else far
+                for point, c in zip(xyz, labeled.semantic.tolist())
+                for far, near, split in [step_of.get(c, fallback)]
+            ], dtype=np.float64).reshape(-1)
+            keep = np.isfinite(steps) & (offset % np.where(np.isfinite(steps), steps, 1) == 0)
+            if keep.any():
+                pose = relative_pose(by_index[t].pose, frame.pose)
+                parts.append((frame, keep, pose.apply(xyz[keep]), steps[keep].astype(np.int64)))
+        return {
+            "xyz": np.concatenate([moved for _, _, moved, _ in parts]),
+            "intensity": np.concatenate([f.labeled.cloud.intensity[k] for f, k, _, _ in parts]),
+            "semantic": np.concatenate([f.labeled.semantic[k] for f, k, _, _ in parts]),
+            "instance": np.concatenate([f.labeled.instance[k] for f, k, _, _ in parts]),
+            "source_frame": np.concatenate([np.full(int(k.sum()), f.index) for f, k, _, _ in parts]),
+            "source_step": np.concatenate([tags for _, _, _, tags in parts]),
+        }
+
+    @staticmethod
+    def columns(agg):
+        return {
+            "xyz": agg.labeled.cloud.xyz, "intensity": agg.labeled.cloud.intensity,
+            "semantic": agg.labeled.semantic, "instance": agg.labeled.instance,
+            "source_frame": agg.source_frame, "source_step": agg.source_step,
+        }
+
+    def assert_assembled(self, frames, t, division):
+        got = self.columns(aggregate_fsa(frames, t, division))
+        want = self.concatenated(frames, t, division.window, division.groups, division.default_step)
+        for name, column in got.items():
+            assert column.dtype == want[name].dtype, name
+            assert not column.flags.writeable, name
+            assert np.array_equal(column, want[name]), name
+
+    def test_walked_frame_that_keeps_no_rows(self):
+        # offset 2 is walked for class 1, but frame 5 holds no class-1 point
+        frames = scene(frame_count=8, classes={1: 0.3, 9: 0.4, 13: 0.3})
+        frames[5] = relabeled(frames[5], slice(None), 9)
+        division = GroupDivision((ClassGroup(frozenset({1}), 2),), window=4)
+        assert 5 not in aggregate_fsa(frames, 7, division).source_frame
+        self.assert_assembled(frames, 7, division)
+
+    def test_frame_kept_whole(self):
+        # at offset 4 every step (2, 4 near and the default 4) divides it
+        frames = scene(frame_count=8)
+        division = GroupDivision((ClassGroup(frozenset({1}), 2, DistanceSplit(12.0)),),
+                                 window=4, default_step=4)
+        out = aggregate_fsa(frames, 7, division)
+        assert (out.source_frame == 3).sum() == frames[3].count
+        self.assert_assembled(frames, 7, division)
+
+    def test_zero_point_present_frame(self):
+        frames = scene(frame_count=6)
+        empty = LabeledCloud(PointCloud(np.zeros((0, 3)), np.zeros(0)),
+                             np.zeros(0, np.int64), np.zeros(0, np.int64))
+        frames[5] = dataclasses.replace(frames[5], labeled=empty)
+        division = GroupDivision((ClassGroup(frozenset({1, 9}), 1),), window=3, default_step=2)
+        self.assert_assembled(frames, 5, division)
+        direct = aggregate_direct(frames, 5, 3)
+        assert direct.count == 3 * frames[0].count and direct.source_frame[0] == 4
+
+    def test_strict_division(self):
+        frames = scene(frame_count=10)
+        division = GroupDivision(
+            (ClassGroup(frozenset({1}), 2, DistanceSplit(12.0)), ClassGroup(frozenset({9}), 3),
+             ClassGroup(frozenset({13}), INFINITE_STEP)),
+            window=8, default_step=None,
+        )
+        self.assert_assembled(frames, 9, division)
+
+    def test_uniform_steps(self):
+        frames = scene(frame_count=8)
+        for step in (1, 2):
+            division = GroupDivision((ClassGroup(frozenset({1}), step),), window=6, default_step=step)
+            self.assert_assembled(frames, 7, division)
 
 
 class TestDivisions:

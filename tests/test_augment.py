@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lidarseq.aggregation import aggregate_direct
+from lidarseq.aggregation import AggregatedCloud, aggregate_direct
 from lidarseq.augment import (
     DEFAULT_CLASS_PAIRS,
     AnchorSet,
@@ -15,8 +15,9 @@ from lidarseq.augment import (
     ring_anchors,
     static_to_moving,
 )
+from lidarseq.augment import _fewest_points_anchor
 from lidarseq.errors import ConfigurationError, InvalidInputError, NotAugmentableError
-from lidarseq.geometry import PointCloud
+from lidarseq.geometry import LabeledCloud, PointCloud
 from lidarseq.sequence import EgoSpec, InstanceSpec, SyntheticSceneSpec, generate_synthetic
 
 EMPTY_SCENE = np.zeros((0, 3))
@@ -226,6 +227,35 @@ class TestStaticToMoving:
         moved = static_to_moving(track, EMPTY_SCENE, anchors, seed=5)
         assert np.abs(moved.centroids[0] - anchors.positions[0]).max() < 1e-9
 
+    def test_anchor_matches_a_brute_force_scan(self):
+        def brute_force(anchors, xyz):
+            r2 = anchors.coverage_radius**2
+            counts = [int((((xyz[:, 0] - p[0]) ** 2 + (xyz[:, 1] - p[1]) ** 2) <= r2).sum())
+                      for p in anchors.positions]
+            return counts.index(min(counts))  # the lowest index on ties
+
+        rng = np.random.default_rng(21)
+        # widely spaced anchors, each with its own crowd, and points strewn far outside
+        spaced = self.anchors_at((0.0, 0.0, 0.0), (500.0, -40.0, 1.0), (-300.0, 250.0, 0.0))
+        for trial in range(20):
+            crowds = [p + rng.normal(size=(int(rng.integers(0, 40)), 3)) * 1.5
+                      for p in spaced.positions]
+            far = rng.uniform(-2000, 2000, size=(200, 3))
+            xyz = np.vstack(crowds + [far])
+            assert _fewest_points_anchor(spaced, xyz) == brute_force(spaced, xyz)
+        # points exactly on the coverage radius count, one ulp beyond do not:
+        # anchor 1 holds two of the first, anchor 2 three of the second
+        anchors = self.anchors_at((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.0, 10.0, 0.0), radius=2.0)
+        crowd = np.full((5, 3), 0.5)
+        on_circle = np.array([[12.0, 0.0, 5.0], [10.0, -2.0, 0.0]])
+        beyond = np.array([[np.nextafter(2.0, 3.0), 10.0, 0.0], [0.0, np.nextafter(12.0, 13.0), 0.0],
+                           [-np.nextafter(2.0, 3.0), 10.0, -1.0]])
+        xyz = np.vstack([crowd, on_circle, beyond])
+        assert brute_force(anchors, xyz) == 2
+        assert _fewest_points_anchor(anchors, xyz) == 2
+        # an empty scene ties every anchor at zero
+        assert _fewest_points_anchor(anchors, EMPTY_SCENE) == 0
+
     def test_result_classifies_as_moving(self):
         rng = np.random.default_rng(13)
         for seed in range(20):
@@ -342,6 +372,40 @@ class TestApplySwitch:
         )
         with pytest.raises(InvalidInputError):
             apply_switch(agg, track, trimmed)
+
+    def test_interleaved_instances(self):
+        # rows of instances 5 and 6 alternate within every frame
+        rng = np.random.default_rng(31)
+        source_frame = np.repeat([4, 3, 2], 12)
+        instance = np.tile([5, 6, 0, 6, 5, 5], 6)
+        xyz = rng.normal(size=(36, 3)) + 9.0
+        xyz[instance == 5] = np.tile(rng.normal(size=(6, 3)), (3, 1))  # a static track
+        agg = AggregatedCloud(
+            LabeledCloud(PointCloud(xyz, rng.random(36)), np.where(instance == 5, 10, 40), instance),
+            source_frame, np.where(source_frame == 4, 0, 1), 4,
+        )
+        track = extract_track(agg, 5)
+        assert track.frames == (4, 3, 2) and track.class_id == 10
+        for frame, part in zip(track.frames, track.parts):
+            rows = (instance == 5) & (source_frame == frame)
+            assert np.array_equal(part.xyz, xyz[rows])
+            assert np.array_equal(part.intensity, agg.labeled.cloud.intensity[rows])
+        moved = track.translated(np.array([[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]]))
+        switched = apply_switch(agg, track, moved)
+        shift = np.select([source_frame == 4, source_frame == 3], [1.0, 2.0], 3.0)
+        want = xyz.copy()
+        want[instance == 5, 0] += shift[instance == 5]
+        assert np.array_equal(switched.labeled.cloud.xyz, want)
+        assert set(switched.labeled.semantic[instance == 5].tolist()) == {252}
+        assert np.array_equal(switched.labeled.semantic[instance != 5], agg.labeled.semantic[instance != 5])
+        # one point of one part moved by a hair no longer matches
+        parts = list(track.parts)
+        tampered = parts[1].xyz.copy()
+        tampered[0, 2] = np.nextafter(tampered[0, 2], np.inf)
+        parts[1] = PointCloud(tampered, parts[1].intensity)
+        stale = InstanceTrack(5, 10, track.frames, tuple(parts))
+        with pytest.raises(InvalidInputError, match="frame 3 does not match the aggregated cloud"):
+            apply_switch(agg, stale, moved)
 
     def test_default_pair_table_is_involutive(self):
         forward = DEFAULT_CLASS_PAIRS

@@ -175,7 +175,8 @@ class TestSynth:
             "frame_count": ({**base, "frame_count": 2.5}, "frame_count must be an integer, got 2.5"),
             "seed": ({**base, "seed": "7"}, "seed must be an integer, got '7'"),
             "width": ({**base, "camera": {"width": 32.7}}, "width must be an integer, got 32.7"),
-            "points": ({**base, "instances": [instance]}, "points must be an integer, got 5.5"),
+            "points": ({**base, "instances": [{**instance, "points": 5}, instance]},
+                       "instance 1: points must be an integer, got 5.5"),
             "fractional_class": ({**base, "classes": {1.9: 1.0}}, "classes must map integer class ids"),
             "quoted_class": ({**base, "classes": {"9": 1.0}}, "classes must map integer class ids"),
         }
@@ -187,6 +188,17 @@ class TestSynth:
             assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
             assert main(["synth", str(path), "--out", str(tmp_path / name)]) == 2
             assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+    def test_default_camera_matches_write_sequence(self, seq_dir, spec_path, tmp_path):
+        # SPEC has no camera key, and write_sequence without a calibration
+        # takes the same default camera
+        assert "camera" not in SPEC
+        plain = tmp_path / "plain"
+        write_sequence(plain, generate_synthetic(load_scene_spec(spec_path)))
+        assert (plain / "calib.txt").read_bytes() == (seq_dir / "calib.txt").read_bytes()
+        synth, default = load_camera_calib(seq_dir), seqio.default_camera_calib()
+        assert (synth.width, synth.height) == (default.width, default.height) == (64, 48)
 
 
 class TestAggregate:
@@ -310,6 +322,12 @@ class TestAggregate:
 
     def test_missing_sequence_dir_is_a_data_error(self, tmp_path):
         assert main(["aggregate", "--sequence", str(tmp_path / "nope")]) == 2
+
+    def test_missing_frame_file_names_the_frame_and_file(self, seq_dir, capsys):
+        victim = seq_dir / "labels" / "000001.label"
+        victim.unlink()
+        assert main(["aggregate", "--sequence", str(seq_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {victim}: no such file for frame 1\n"
 
     def test_out_of_range_frame_is_a_data_error(self, seq_dir, tmp_path, capsys):
         augment = ["--instance", "5", "--switch", "moving-to-static", "--out", str(tmp_path / "a")]

@@ -142,10 +142,12 @@ class TestFormatErrors:
             load_sequence(seq_dir)
 
     def test_missing_frame_file_names_the_path(self, seq_dir):
-        victim = seq_dir / "velodyne" / "000003.bin"
-        victim.unlink()
-        with pytest.raises(FileNotFoundError, match="000003"):
-            load_sequence(seq_dir)
+        for victim, frame in ((seq_dir / "velodyne" / "000003.bin", 3),
+                              (seq_dir / "labels" / "000001.label", 1)):
+            victim.unlink()
+            with pytest.raises(FormatError) as info:
+                load_sequence(seq_dir)
+            assert str(info.value) == f"{victim}: no such file for frame {frame}"
 
     def test_malformed_pose_row_is_rejected(self, seq_dir):
         lines = (seq_dir / "poses.txt").read_text().splitlines()
