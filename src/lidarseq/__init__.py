@@ -45,7 +45,6 @@ from .geometry import (
     compose,
     invert,
     relative_pose,
-    transform_points,
 )
 from .imaging import (
     ImageFeatureMap,
@@ -53,6 +52,7 @@ from .imaging import (
     aggregate_image_features,
     fuse_to_voxels,
     lift_features,
+    load_camera_calib,
     project_labels_to_image,
     project_to_image,
     read_image,
@@ -65,7 +65,6 @@ from .sequence import (
     SyntheticSceneSpec,
     corrupt_labels,
     generate_synthetic,
-    load_camera_calib,
     load_scene_spec,
     load_sequence,
     sequence_length,

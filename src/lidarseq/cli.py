@@ -25,6 +25,7 @@ from .imaging import (
     _IMAGE_SUFFIXES,
     aggregate_image_features,
     fuse_to_voxels,
+    load_camera_calib,
     read_image,
     synthetic_feature_image,
     write_image,
@@ -32,7 +33,6 @@ from .imaging import (
 from .sequence import (
     corrupt_labels,
     generate_synthetic,
-    load_camera_calib,
     load_scene_spec,
     load_sequence,
     sequence_length,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError
 from .voxels import VoxelFeatureMap
 
 __all__ = [
@@ -29,6 +29,7 @@ class SharedVoxelSelection:
 
     coords ascend in the canonical voxel order; student_index and
     teacher_index are parallel row indices into the respective maps.
+    Only ``shared_selection`` builds one, from fresh arrays it freezes.
     """
 
     coords: np.ndarray
@@ -36,18 +37,8 @@ class SharedVoxelSelection:
     teacher_index: np.ndarray
 
     def __post_init__(self):
-        coords = np.ascontiguousarray(np.asarray(self.coords, dtype=np.int64))
-        s_idx = np.ascontiguousarray(np.asarray(self.student_index, dtype=np.int64))
-        t_idx = np.ascontiguousarray(np.asarray(self.teacher_index, dtype=np.int64))
-        if coords.ndim != 2 or coords.shape[1] != 3:
-            raise InvalidInputError("selection coords must have shape (K, 3)")
-        if s_idx.shape != (coords.shape[0],) or t_idx.shape != (coords.shape[0],):
-            raise InvalidInputError("selection index arrays must parallel coords")
-        for arr in (coords, s_idx, t_idx):
+        for arr in (self.coords, self.student_index, self.teacher_index):
             arr.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "student_index", s_idx)
-        object.__setattr__(self, "teacher_index", t_idx)
 
     @property
     def count(self) -> int:

@@ -163,9 +163,3 @@ class LabeledCloud:
     @property
     def count(self) -> int:
         return self.cloud.count
-
-
-def transform_points(pose: Pose, cloud: PointCloud) -> PointCloud:
-    """Rigidly move a cloud into the pose's parent frame. Intensity is kept."""
-    return PointCloud(pose.apply(cloud.xyz), cloud.intensity)
-

@@ -5,7 +5,12 @@ precomputed channels from a raw float dump; no 2D backbone runs. The geometry
 is the interesting part: project a sweep into the camera, pull features onto
 the in-FOV points, carry those points into the present frame with the pose
 chain, fuse everything into multi-scale sparse voxel maps, and gather the
-result back onto any temporal LiDAR cloud.
+result back onto any temporal LiDAR cloud. Lifting takes the nearest pixel;
+a point at a camera depth of DEFAULT_Z_MIN (0.1 m) or less is outside the FOV.
+
+Camera loading lives here, beside the image readers: ``load_camera_calib``
+takes P2 and Tr from a sequence's calib.txt and the image size from the
+first image under image_2/.
 
 Image files on disk:
     .ppm   binary P6, maxval 255, features = RGB / 255, C = 3
@@ -24,7 +29,8 @@ import numpy as np
 
 from .aggregation import AggregatedCloud, _walk
 from .errors import ConfigurationError, FormatError, InvalidInputError
-from .sequence import CameraCalib, SequenceFrame, _is_whole
+from .geometry import Pose
+from .sequence import CameraCalib, SequenceFrame, _is_whole, _parse_calib
 from .voxels import (
     DEFAULT_VOXEL_SIZE,
     VoxelFeatureMap,
@@ -73,27 +79,18 @@ class ImageFeatureMap:
 
 @dataclass(frozen=True)
 class PointImageFeatures:
-    """Image features attached to the LiDAR points that saw them."""
+    """Image features attached to the LiDAR points that saw them.
+
+    Only the lifting functions build one, from fresh arrays it freezes.
+    """
 
     xyz: np.ndarray
     features: np.ndarray
     source_frame: np.ndarray
 
     def __post_init__(self):
-        xyz = np.ascontiguousarray(np.asarray(self.xyz, dtype=np.float64))
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        src = np.ascontiguousarray(np.asarray(self.source_frame, dtype=np.int64)).reshape(-1)
-        if xyz.ndim != 2 or xyz.shape[1] != 3:
-            raise InvalidInputError("points must have shape (M, 3)")
-        if feats.ndim != 2 or feats.shape[0] != xyz.shape[0]:
-            raise InvalidInputError("features must have shape (M, C)")
-        if src.shape[0] != xyz.shape[0]:
-            raise InvalidInputError("source_frame must tag every point")
-        for arr in (xyz, feats, src):
+        for arr in (self.xyz, self.features, self.source_frame):
             arr.setflags(write=False)
-        object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "source_frame", src)
 
     @property
     def count(self) -> int:
@@ -113,19 +110,17 @@ def _as_xyz(points) -> np.ndarray:
     return xyz
 
 
-def project_to_image(
-    points, calib: CameraCalib, z_min: float = DEFAULT_Z_MIN
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def project_to_image(points, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pinhole projection of LiDAR points into pixel coordinates.
 
     Returns (uv, depth, in_fov): continuous pixel coordinates, camera-frame
-    depth, and the mask of points with depth > z_min landing inside the
-    image bounds. uv rows for out-of-FOV points are zeroed, not meaningful.
+    depth, and the mask of points with depth > DEFAULT_Z_MIN landing inside
+    the image bounds. uv rows for out-of-FOV points are zeroed, not meaningful.
     """
     xyz = _as_xyz(points)
     cam = calib.extrinsic.apply(xyz)
     depth = cam[:, 2].copy()
-    valid = depth > z_min
+    valid = depth > DEFAULT_Z_MIN
     safe = np.where(valid, depth, 1.0)
     u = calib.fx * cam[:, 0] / safe + calib.cx
     v = calib.fy * cam[:, 1] / safe + calib.cy
@@ -142,37 +137,13 @@ def _nearest_pixels(uv: np.ndarray, width: int, height: int) -> tuple[np.ndarray
     return rows, cols
 
 
-def _bilinear_sample(image: ImageFeatureMap, uv: np.ndarray) -> np.ndarray:
-    """Sample at continuous (u, v) from the four surrounding pixel centers."""
-    h, w = image.height, image.width
-    u = np.clip(uv[:, 0], 0.0, w - 1.0)
-    v = np.clip(uv[:, 1], 0.0, h - 1.0)
-    c0 = np.floor(u).astype(np.int64)
-    r0 = np.floor(v).astype(np.int64)
-    c1 = np.minimum(c0 + 1, w - 1)
-    r1 = np.minimum(r0 + 1, h - 1)
-    fu = (u - c0)[:, None]
-    fv = (v - r0)[:, None]
-    feats = image.features
-    return (
-        feats[r0, c0] * (1.0 - fu) * (1.0 - fv)
-        + feats[r0, c1] * fu * (1.0 - fv)
-        + feats[r1, c0] * (1.0 - fu) * fv
-        + feats[r1, c1] * fu * fv
-    )
-
-
 def lift_features(
-    frame: SequenceFrame,
-    image: ImageFeatureMap,
-    calib: CameraCalib,
-    z_min: float = DEFAULT_Z_MIN,
-    bilinear: bool = False,
+    frame: SequenceFrame, image: ImageFeatureMap, calib: CameraCalib
 ) -> PointImageFeatures:
-    """Attach per-pixel features to the frame's in-FOV points.
+    """Give each in-FOV point the features of its nearest pixel.
 
     Point coordinates stay in the frame's own LiDAR frame; the caller decides
-    where to move them. Nearest-pixel sampling by default.
+    where to move them.
     """
     if (image.width, image.height) != (calib.width, calib.height):
         raise ConfigurationError(
@@ -180,17 +151,12 @@ def lift_features(
             f"{calib.width}x{calib.height}"
         )
     xyz = frame.labeled.cloud.xyz
-    uv, _, in_fov = project_to_image(xyz, calib, z_min)
-    kept_uv = uv[in_fov]
-    if bilinear:
-        feats = _bilinear_sample(image, kept_uv)
-    else:
-        rows, cols = _nearest_pixels(kept_uv, image.width, image.height)
-        feats = image.features[rows, cols]
+    uv, _, in_fov = project_to_image(xyz, calib)
+    rows, cols = _nearest_pixels(uv[in_fov], image.width, image.height)
     count = int(in_fov.sum())
     return PointImageFeatures(
         xyz[in_fov],
-        feats,
+        image.features[rows, cols],
         np.full(count, frame.index, dtype=np.int64),
     )
 
@@ -202,8 +168,6 @@ def aggregate_image_features(
     t: int,
     step: int = DEFAULT_IMAGE_STEP,
     window: int = DEFAULT_IMAGE_WINDOW,
-    z_min: float = DEFAULT_Z_MIN,
-    bilinear: bool = False,
 ) -> PointImageFeatures:
     """Lift the present frame and each temporal sample, all in present coords.
 
@@ -223,7 +187,7 @@ def aggregate_image_features(
             image = images[frame.index]
         except KeyError:
             raise InvalidInputError(f"no image provided for frame {frame.index}") from None
-        lifted = lift_features(frame, image, calib, z_min, bilinear)
+        lifted = lift_features(frame, image, calib)
         xyz.append(lifted.xyz if pose is None else pose.apply(lifted.xyz))
         features.append(lifted.features)
         source.append(lifted.source_frame)
@@ -278,20 +242,15 @@ def temporal_multimodal_gather(points, fused: Sequence[VoxelFeatureMap]) -> np.n
     return np.concatenate([gather_trilinear(m, xyz) for m in fused], axis=1)
 
 
-def project_labels_to_image(
-    frame: SequenceFrame,
-    calib: CameraCalib,
-    z_min: float = DEFAULT_Z_MIN,
-    ignore: int = LABEL_IGNORE,
-) -> np.ndarray:
+def project_labels_to_image(frame: SequenceFrame, calib: CameraCalib) -> np.ndarray:
     """Rasterize per-point semantic ids onto the image plane.
 
     Each in-FOV point writes its label to the nearest pixel; when several
     points land on one pixel the nearest depth wins. Untouched pixels hold
-    the ignore value. Output shape (H, W), int64.
+    LABEL_IGNORE. Output shape (H, W), int64.
     """
-    out = np.full((calib.height, calib.width), ignore, dtype=np.int64)
-    uv, depth, in_fov = project_to_image(frame.labeled.cloud.xyz, calib, z_min)
+    out = np.full((calib.height, calib.width), LABEL_IGNORE, dtype=np.int64)
+    uv, depth, in_fov = project_to_image(frame.labeled.cloud.xyz, calib)
     if not in_fov.any():
         return out
     rows, cols = _nearest_pixels(uv[in_fov], calib.width, calib.height)
@@ -370,6 +329,33 @@ def peek_image_size(path) -> tuple[int, int]:
     return width, height
 
 
+def load_camera_calib(seq_dir) -> CameraCalib:
+    """Build a CameraCalib from calib.txt; the image size comes from the first
+    .ppm, .pgm or .fmap file under image_2/ by name; other files there, such
+    as a .gitkeep, are passed over."""
+    seq_dir = Path(seq_dir)
+    entries = _parse_calib(seq_dir / "calib.txt")
+    if "P2" not in entries:
+        raise FormatError(f"{seq_dir / 'calib.txt'}: missing P2 entry")
+    p2 = entries["P2"]
+    image_dir = seq_dir / "image_2"
+    candidates = sorted(p for p in image_dir.glob("*") if p.suffix in _IMAGE_SUFFIXES)
+    if not candidates:
+        raise InvalidInputError(
+            f"{image_dir}: no image ({', '.join(_IMAGE_SUFFIXES)}) to take the image size from"
+        )
+    width, height = peek_image_size(candidates[0])
+    return CameraCalib(
+        fx=float(p2[0, 0]),
+        fy=float(p2[1, 1]),
+        cx=float(p2[0, 2]),
+        cy=float(p2[1, 2]),
+        extrinsic=Pose(entries["Tr"]),
+        width=width,
+        height=height,
+    )
+
+
 def read_image(path) -> ImageFeatureMap:
     """Decode .ppm/.pgm (channels = RGB/gray over 255) or a raw .fmap dump."""
     path = Path(path)
@@ -380,16 +366,19 @@ def read_image(path) -> ImageFeatureMap:
         if len(buf) - offset != want:
             raise FormatError(f"{path}: expected {want} payload bytes, found {len(buf) - offset}")
         planes = np.frombuffer(buf, dtype="<f4", count=channels * height * width, offset=offset)
-        feats = planes.reshape(channels, height, width).transpose(1, 2, 0)
-        return ImageFeatureMap(feats.astype(np.float64))
-    magic, width, height, offset = _parse_pnm_header(buf, path)
-    channels = 3 if magic == b"P6" else 1
-    want = width * height * channels
-    if len(buf) - offset != want:
-        raise FormatError(f"{path}: expected {want} payload bytes, found {len(buf) - offset}")
-    raw = np.frombuffer(buf, dtype=np.uint8, count=want, offset=offset)
-    feats = raw.reshape(height, width, channels).astype(np.float64) / 255.0
-    return ImageFeatureMap(feats)
+        feats = planes.reshape(channels, height, width).transpose(1, 2, 0).astype(np.float64)
+    else:
+        magic, width, height, offset = _parse_pnm_header(buf, path)
+        channels = 3 if magic == b"P6" else 1
+        want = width * height * channels
+        if len(buf) - offset != want:
+            raise FormatError(f"{path}: expected {want} payload bytes, found {len(buf) - offset}")
+        raw = np.frombuffer(buf, dtype=np.uint8, count=want, offset=offset)
+        feats = raw.reshape(height, width, channels).astype(np.float64) / 255.0
+    try:
+        return ImageFeatureMap(feats)
+    except InvalidInputError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_image(path, image: ImageFeatureMap) -> None:

@@ -12,7 +12,8 @@ On-disk layout of a sequence directory::
 
 Poses in ``poses.txt`` follow the upstream convention (camera frame); the
 loader conjugates them with Tr so every ``SequenceFrame.pose`` maps LiDAR
-coordinates to a common world frame.
+coordinates to a common world frame. The camera (P2, Tr and the size of the
+images under image_2/) is loaded by ``imaging.load_camera_calib``.
 """
 
 from __future__ import annotations
@@ -222,35 +223,6 @@ def load_sequence(
             )
         )
     return frames
-
-
-def load_camera_calib(seq_dir) -> CameraCalib:
-    """Build a CameraCalib from calib.txt; the image size comes from the first
-    .ppm, .pgm or .fmap file under image_2/ by name; other files there, such
-    as a .gitkeep, are passed over."""
-    from .imaging import _IMAGE_SUFFIXES, peek_image_size  # late import, imaging pulls geometry
-
-    seq_dir = Path(seq_dir)
-    entries = _parse_calib(seq_dir / "calib.txt")
-    if "P2" not in entries:
-        raise FormatError(f"{seq_dir / 'calib.txt'}: missing P2 entry")
-    p2 = entries["P2"]
-    image_dir = seq_dir / "image_2"
-    candidates = sorted(p for p in image_dir.glob("*") if p.suffix in _IMAGE_SUFFIXES)
-    if not candidates:
-        raise InvalidInputError(
-            f"{image_dir}: no image ({', '.join(_IMAGE_SUFFIXES)}) to take the image size from"
-        )
-    width, height = peek_image_size(candidates[0])
-    return CameraCalib(
-        fx=float(p2[0, 0]),
-        fy=float(p2[1, 1]),
-        cx=float(p2[0, 2]),
-        cy=float(p2[1, 2]),
-        extrinsic=Pose(entries["Tr"]),
-        width=width,
-        height=height,
-    )
 
 
 def _format_matrix(mat: np.ndarray) -> str:

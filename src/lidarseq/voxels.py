@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, FormatError, InvalidInputError
 
 DEFAULT_VOXEL_SIZE = 0.05
 
@@ -182,13 +182,6 @@ def gather_trilinear(vmap: VoxelFeatureMap, query_xyz: np.ndarray) -> np.ndarray
     return out
 
 
-def identity_kernel(width: int) -> np.ndarray:
-    """3x3x3 kernel whose center tap is the identity map."""
-    kernel = np.zeros((3, 3, 3, width, width))
-    kernel[1, 1, 1] = np.eye(width)
-    return kernel
-
-
 def seeded_kernel(width: int, seed: int) -> np.ndarray:
     """Deterministic dense 3x3x3 kernel standing in for learned weights."""
     rng = np.random.default_rng(seed)
@@ -239,9 +232,13 @@ def load_voxel_maps(path) -> list[VoxelFeatureMap]:
     try:
         with np.load(path) as data:
             count = int(data["map_count"])
+            if count < 1:
+                raise ValueError(f"map_count is {count}")
             maps = []
             for k in range(count):
-                meta = data[f"scale{k}_meta"]
+                meta = data[f"scale{k}_meta"].reshape(-1)
+                if meta.size != 5:
+                    raise ValueError(f"scale{k}_meta holds {meta.size} values, not 5")
                 maps.append(
                     VoxelFeatureMap(
                         voxel_size=float(meta[0]),
@@ -251,8 +248,6 @@ def load_voxel_maps(path) -> list[VoxelFeatureMap]:
                         scale_level=int(meta[4]),
                     )
                 )
-    except (KeyError, ValueError, OSError) as exc:
-        from .errors import FormatError
-
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise FormatError(f"{path}: not a voxel map archive ({exc})") from None
     return maps

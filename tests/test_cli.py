@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from lidarseq import cli
+from lidarseq import cli, imaging
 from lidarseq import sequence as seqio
 from lidarseq.aggregation import (
     DEFAULT_WINDOW,
@@ -32,6 +32,7 @@ from lidarseq.imaging import (
     DEFAULT_IMAGE_WINDOW,
     aggregate_image_features,
     fuse_to_voxels,
+    load_camera_calib,
     read_image,
 )
 from lidarseq.geometry import Pose
@@ -39,7 +40,6 @@ from lidarseq.sequence import (
     CameraCalib,
     corrupt_labels,
     generate_synthetic,
-    load_camera_calib,
     load_scene_spec,
     load_sequence,
     scene_spec_from_mapping,
@@ -495,6 +495,14 @@ class TestLift:
         assert main(["lift", "--sequence", str(seq_dir)]) == 2
         assert capsys.readouterr().err == f"error: {first}: truncated image header\n"
 
+    def test_image_that_decodes_to_no_pixels_is_named(self, seq_dir, capsys):
+        present = seq_dir / "image_2" / "000005.ppm"
+        present.write_bytes(b"P6 0 4 255\n")
+        assert main(["lift", "--sequence", str(seq_dir), "--frame", "5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {present}: image features must have shape (H, W, C)\n"
+        )
+
     def test_calibration_problems_are_named(self, seq_dir, tmp_path, capsys):
         no_p2, no_images = _without_p2(seq_dir, tmp_path / "no-p2"), tmp_path / "no-images"
         shutil.copytree(seq_dir, no_images)
@@ -512,7 +520,7 @@ class TestLift:
             raise AssertionError("load_camera_calib called")
 
         monkeypatch.setattr(cli, "load_camera_calib", no_camera)
-        monkeypatch.setattr(seqio, "load_camera_calib", no_camera)
+        monkeypatch.setattr(imaging, "load_camera_calib", no_camera)
         assert main(["aggregate", "--sequence", str(seq)]) == 0
         assert main(["bench", "--sequence", str(seq), "--repeats", "1"]) == 0
 
@@ -556,6 +564,19 @@ class TestDistill:
         assert self.lift_to(seq_dir, a, seed=1, scales=2) == 0
         assert self.lift_to(seq_dir, b, seed=1, scales=3) == 0
         assert main(["distill", "--student", str(a), "--teacher", str(b)]) == 2
+
+    def test_malformed_archives_are_named_data_errors(self, seq_dir, tmp_path, capsys):
+        good = tmp_path / "good.npz"
+        assert self.lift_to(seq_dir, good, seed=1) == 0
+        with np.load(good) as data:
+            arrays = dict(data)
+        empty, short_meta = tmp_path / "empty.npz", tmp_path / "short-meta.npz"
+        np.savez(empty, **{**arrays, "map_count": np.array(0)})
+        np.savez(short_meta, **{**arrays, "scale1_meta": arrays["scale1_meta"][:3]})
+        capsys.readouterr()
+        for bad in (empty, short_meta):
+            assert main(["distill", "--student", str(bad), "--teacher", str(good)]) == 2
+            assert f"error: {bad}: not a voxel map archive (" in capsys.readouterr().err
 
     def test_missing_dump_is_a_data_error(self, tmp_path):
         assert main(["distill", "--student", str(tmp_path / "a.npz"),

@@ -19,10 +19,9 @@ from lidarseq.geometry import (
     compose,
     invert,
     relative_pose,
-    transform_points,
 )
 
-from helpers import random_cloud, random_pose, random_rotation
+from helpers import random_pose, random_rotation
 
 
 def sequential_oracle(outer: Pose, inner: Pose, xyz: np.ndarray) -> np.ndarray:
@@ -149,14 +148,6 @@ class TestPointContainers:
         cloud = PointCloud(np.zeros((3, 3)), np.zeros(3))
         with pytest.raises(InvalidInputError):
             LabeledCloud(cloud, np.zeros(2, np.int64), np.zeros(3, np.int64))
-
-    def test_transform_keeps_intensity_and_labels(self):
-        rng = np.random.default_rng(9)
-        cloud = random_cloud(rng, 30)
-        pose = random_pose(rng)
-        moved = transform_points(pose, cloud)
-        assert np.array_equal(moved.intensity, cloud.intensity)
-        assert moved.count == cloud.count
 
     def test_arrays_are_frozen(self):
         cloud = PointCloud(np.zeros((2, 3)), np.zeros(2))

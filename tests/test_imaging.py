@@ -89,8 +89,6 @@ class TestProjection:
     def test_near_plane_cutoff(self):
         _, _, fov = project_to_image(np.array([[0.05, 0.0, 0.0]]), CALIB)
         assert not fov[0]
-        _, _, fov = project_to_image(np.array([[0.05, 0.0, 0.0]]), CALIB, z_min=0.01)
-        assert fov[0]
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(0)
@@ -152,19 +150,6 @@ class TestLift:
         want_v = np.clip(np.rint(uv[fov, 1]), 0, CALIB.height - 1)
         assert np.array_equal(lifted.features[:, 0], want_u)
         assert np.array_equal(lifted.features[:, 1], want_v)
-
-    def test_bilinear_on_ramp_recovers_continuous_coordinates(self):
-        frames = make_frames(frame_count=1, ego_velocity=(0, 0, 0))
-        frame = frames[0]
-        feats = np.zeros((CALIB.height, CALIB.width, 2))
-        feats[:, :, 0] = np.arange(CALIB.width)[None, :]
-        feats[:, :, 1] = np.arange(CALIB.height)[:, None]
-        lifted = lift_features(frame, ImageFeatureMap(feats), CALIB, bilinear=True)
-        uv, _, fov = project_to_image(frame.labeled.cloud.xyz, CALIB)
-        want_u = np.clip(uv[fov, 0], 0, CALIB.width - 1)
-        want_v = np.clip(uv[fov, 1], 0, CALIB.height - 1)
-        assert np.abs(lifted.features[:, 0] - want_u).max() < 1e-9
-        assert np.abs(lifted.features[:, 1] - want_v).max() < 1e-9
 
     def test_dimension_mismatch_is_rejected(self):
         frames = make_frames(frame_count=1)
@@ -453,6 +438,18 @@ class TestImageFiles:
         path.write_bytes(b"FMAP 1 2 2\n\x00\x00\x00\x00")
         with pytest.raises(FormatError):
             read_image(path)
+
+    @pytest.mark.parametrize("name, data, reason", [
+        ("nan.fmap", b"FMAP 1 1 2\n" + np.array([0.5, np.nan], "<f4").tobytes(),
+         "image features must be finite"),
+        ("empty.ppm", b"P6 0 4 255\n", "image features must have shape (H, W, C)"),
+    ])
+    def test_decoded_image_failing_its_checks_names_the_file(self, tmp_path, name, data, reason):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as info:
+            read_image(path)
+        assert str(info.value) == f"{path}: {reason}"
 
     def test_ppm_needs_three_channels(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,7 @@ import pytest
 import lidarseq.sequence as seqio
 from lidarseq.errors import FormatError, InvalidInputError, InvalidSpecError
 from lidarseq.geometry import LabeledCloud, Pose, PointCloud
-from lidarseq.imaging import synthetic_feature_image, write_image
+from lidarseq.imaging import load_camera_calib, synthetic_feature_image, write_image
 from lidarseq.sequence import (
     EgoSpec,
     InstanceSpec,
@@ -23,7 +23,6 @@ from lidarseq.sequence import (
     corrupt_labels,
     default_camera_calib,
     generate_synthetic,
-    load_camera_calib,
     load_scene_spec,
     load_sequence,
     scene_spec_from_mapping,

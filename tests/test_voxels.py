@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidarseq.errors import ConfigurationError, InvalidInputError
+from lidarseq.errors import ConfigurationError, FormatError, InvalidInputError
 from lidarseq.voxels import (
     VoxelFeatureMap,
     apply_fixed_kernel,
     downsample,
     gather_trilinear,
-    identity_kernel,
     load_voxel_maps,
     save_voxel_maps,
     seeded_kernel,
@@ -28,6 +27,13 @@ from lidarseq.voxels import (
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def identity_kernel(width: int) -> np.ndarray:
+    """3x3x3 kernel whose center tap is the identity map."""
+    kernel = np.zeros((3, 3, 3, width, width))
+    kernel[1, 1, 1] = np.eye(width)
+    return kernel
 
 
 def voxelize_oracle(xyz, feats, size, origin):
@@ -415,3 +421,18 @@ class TestSerialization:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_voxel_maps(tmp_path / "nope.npz")
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("map_count", np.array(0), "map_count is 0)"),
+        ("map_count", np.array([1, 1]), ""),  # numpy words the scalar conversion error
+        ("scale0_meta", np.array([0.5, 0.0, 0.0]), "scale0_meta holds 3 values, not 5)"),
+    ])
+    def test_malformed_archive_is_a_format_error_naming_the_file(self, tmp_path, key, value, reason):
+        path = tmp_path / "maps.npz"
+        save_voxel_maps(path, [random_map(np.random.default_rng(16))])
+        with np.load(path) as data:
+            arrays = {**data, key: value}
+        np.savez(path, **arrays)
+        with pytest.raises(FormatError) as info:
+            load_voxel_maps(path)
+        assert str(info.value).startswith(f"{path}: not a voxel map archive ({reason}")
