@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .geometry import LabeledCloud, PointCloud, relative_pose
+from .geometry import LabeledCloud, PointCloud, _from_checked, relative_pose
 from .sequence import SequenceFrame, _entries, _from_mapping, _integer, _is_whole, _list, _number, _read_yaml
 
 INFINITE_STEP = math.inf
@@ -276,13 +276,13 @@ def _aggregate(
         kept = [labeled.cloud.xyz, labeled.cloud.intensity, labeled.semantic, labeled.instance]
         if rows is not None:  # mode="clip" takes straight into out; "raise" would buffer
             kept = [np.take(c, rows, axis=0, out=o[part], mode="clip") for o, c in zip(outs, kept)]
-        if pose is not None:
-            kept[0] = pose.apply(kept[0])
+        if pose is not None:  # moved straight into its slice, in place after np.take
+            kept[0] = pose.apply(kept[0], out=outs[0][part])
         for out, column in zip(outs, kept + [frame.index, step_tags]):
-            out[part] = column  # a no-op where np.take already wrote the slice
+            out[part] = column  # a no-op where np.take or apply already wrote the slice
     xyz, intensity, semantic, instance, source_frame, source_step = outs
-    labeled = LabeledCloud(PointCloud(xyz, intensity), semantic, instance)
-    return AggregatedCloud(labeled, source_frame, source_step, t)
+    labeled = _from_checked(LabeledCloud, _from_checked(PointCloud, xyz, intensity), semantic, instance)
+    return _from_checked(AggregatedCloud, labeled, source_frame, source_step, t)
 
 
 def aggregate_direct(frames: Sequence[SequenceFrame], t: int, window: int) -> AggregatedCloud:

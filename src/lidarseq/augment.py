@@ -16,7 +16,7 @@ import numpy as np
 
 from .aggregation import AggregatedCloud
 from .errors import ConfigurationError, InvalidInputError, NotAugmentableError
-from .geometry import LabeledCloud, PointCloud
+from .geometry import LabeledCloud, PointCloud, _from_checked
 
 DEFAULT_MOTION_THRESHOLD = 0.2  # meters of centroid travel across the track
 DEFAULT_SPEED_RANGE = (0.2, 1.0)  # meters per frame-step
@@ -280,9 +280,6 @@ def apply_switch(
             remap = {int(c): _remap_class(int(c), table, new_state) for c in ids}
             semantic[pick] = np.vectorize(remap.get, otypes=[np.int64])(semantic[pick])
 
-    labeled = LabeledCloud(
-        PointCloud(xyz, agg.labeled.cloud.intensity),
-        semantic,
-        agg.labeled.instance,
-    )
-    return AggregatedCloud(labeled, agg.source_frame, agg.source_step, agg.reference_frame)
+    cloud = _from_checked(PointCloud, xyz, agg.labeled.cloud.intensity)
+    labeled = _from_checked(LabeledCloud, cloud, semantic, agg.labeled.instance)
+    return _from_checked(AggregatedCloud, labeled, agg.source_frame, agg.source_step, agg.reference_frame)

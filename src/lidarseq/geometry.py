@@ -7,7 +7,7 @@ into the parent frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import InvalidInputError
 # by ~1 ulp and break byte-exact file round trips.
 ORTHONORMAL_CONSTRUCT_TOL = 1e-6
 ORTHONORMAL_STRICT_TOL = 1e-9
+_APPLY_BLOCK = 4096  # rows per Pose.apply block; see there
 
 
 def _orthonormality_error(rot: np.ndarray) -> float:
@@ -70,19 +71,24 @@ class Pose:
         translation = np.asarray(translation, dtype=np.float64).reshape(3, 1)
         return cls(np.hstack([rotation, translation]))
 
-    def apply(self, xyz: np.ndarray) -> np.ndarray:
+    def apply(self, xyz: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform an (N, 3) coordinate array into the parent frame.
 
-        Written as per-column arithmetic rather than a matmul so each point
-        gets bit-identical results no matter how the array is batched or
-        masked; BLAS kernels pick different summation orders per shape.
+        Rows go in blocks of ``_APPLY_BLOCK`` (4,096): a block's temporaries
+        (96 KiB at most) stay in cache and below glibc's 128 KiB mmap
+        threshold, so blocks reuse heap pages. Each axis is the per-column
+        ``r0*x + r1*y + r2*z + t``, never a matmul (BLAS sums in a
+        shape-dependent order), so no batching changes a row's bits. A
+        block's results are computed before any is written to ``out`` (new
+        when None), so ``out`` may be ``xyz`` itself.
         """
         xyz = np.asarray(xyz, dtype=np.float64)
+        out = np.empty_like(xyz) if out is None else out
         rot, trans = self.rotation, self.translation
-        x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-        out = np.empty_like(xyz)
-        for axis in range(3):
-            out[:, axis] = rot[axis, 0] * x + rot[axis, 1] * y + rot[axis, 2] * z + trans[axis]
+        for lo in range(0, xyz.shape[0], _APPLY_BLOCK):
+            x, y, z = xyz[lo : lo + _APPLY_BLOCK].T.copy()
+            moved = [rot[a, 0] * x + rot[a, 1] * y + rot[a, 2] * z + trans[a] for a in range(3)]
+            out[lo : lo + _APPLY_BLOCK] = np.column_stack(moved)
         return out
 
 
@@ -163,3 +169,13 @@ class LabeledCloud:
     @property
     def count(self) -> int:
         return self.cloud.count
+
+
+def _from_checked(cls, *values):
+    """``cls(*values)`` with arrays made read-only, skipping ``__post_init__``'s checks."""
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values, strict=True):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, field.name, value)
+    return obj

@@ -297,6 +297,8 @@ def _parse_pnm_header(buf: bytes, path) -> tuple[bytes, int, int, int]:
             raise FormatError(f"{path}: bad header token {token!r}")
         fields.append(int(token))
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: bad image dimensions {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     return magic, width, height, pos + 1  # single whitespace byte after maxval

@@ -15,6 +15,7 @@ from lidarseq.aggregation import (
     DEFAULT_CLASS_SCORES,
     DIVISION_PRESET_NAMES,
     INFINITE_STEP,
+    AggregatedCloud,
     ClassGroup,
     DistanceSplit,
     GroupDivision,
@@ -516,6 +517,41 @@ class TestAssembly:
         for step in (1, 2):
             division = GroupDivision((ClassGroup(frozenset({1}), step),), window=6, default_step=step)
             self.assert_assembled(frames, 7, division)
+
+
+class TestOutputsFromCheckedFrames:
+    """Aggregation builds its result without the container checks, because
+    every row was checked when its frame was built; the checked constructors
+    find nothing to reject in it."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        return scene(frame_count=10, points=400, classes={c: 1 / 19 for c in range(1, 20)})
+
+    @pytest.mark.parametrize("strategy", ["direct", "stepped", *DIVISION_PRESET_NAMES])
+    def test_result_is_read_only_and_passes_the_checked_constructors(self, frames, strategy):
+        if strategy == "direct":
+            agg = aggregate_direct(frames, 9, 8)
+        elif strategy == "stepped":
+            agg = aggregate_stepped(frames, 9, 8, 2)
+        else:
+            agg = aggregate_fsa(frames, 9, division_preset(strategy, window=8))
+        assert agg.count > frames[9].count
+        cloud = PointCloud(agg.labeled.cloud.xyz, agg.labeled.cloud.intensity)
+        labeled = LabeledCloud(cloud, agg.labeled.semantic, agg.labeled.instance)
+        checked = AggregatedCloud(labeled, agg.source_frame, agg.source_step, agg.reference_frame)
+        got, want = TestAssembly.columns(agg), TestAssembly.columns(checked)
+        for name, column in got.items():
+            assert not column.flags.writeable, name
+            assert column.dtype == want[name].dtype and column.shape == want[name].shape, name
+            assert column.tobytes() == want[name].tobytes(), name
+        assert checked.reference_frame == agg.reference_frame == 9
+
+    def test_non_finite_coordinate_is_rejected_when_the_frame_is_built(self, frames):
+        xyz = frames[3].labeled.cloud.xyz.copy()
+        xyz[7, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            PointCloud(xyz, frames[3].labeled.cloud.intensity)
 
 
 class TestDivisions:

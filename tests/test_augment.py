@@ -343,6 +343,24 @@ class TestApplySwitch:
         assert np.array_equal(switched.source_frame, agg.source_frame)
         assert np.array_equal(switched.source_step, agg.source_step)
 
+    def test_result_is_read_only_and_the_input_is_untouched(self):
+        # built without the container checks: they must find nothing to reject
+        agg = make_scene(velocity=(2.0, 0.0, 0.0), class_id=252)
+        xyz, semantic = agg.labeled.cloud.xyz.copy(), agg.labeled.semantic.copy()
+        track = extract_track(agg, 5)
+        switched = apply_switch(agg, track, moving_to_static(track))
+        assert np.array_equal(agg.labeled.cloud.xyz, xyz)
+        assert np.array_equal(agg.labeled.semantic, semantic)
+        labeled = switched.labeled
+        columns = (labeled.cloud.xyz, labeled.cloud.intensity, labeled.semantic, labeled.instance,
+                   switched.source_frame, switched.source_step)
+        assert not any(column.flags.writeable for column in columns)
+        checked = AggregatedCloud(
+            LabeledCloud(PointCloud(*columns[:2]), *columns[2:4]), *columns[4:], switched.reference_frame
+        )
+        assert checked.labeled.cloud.xyz.tobytes() == labeled.cloud.xyz.tobytes()
+        assert checked.labeled.semantic.tobytes() == labeled.semantic.tobytes()
+
     def test_identity_switch_changes_nothing(self):
         agg = make_scene(velocity=(2.0, 0.0, 0.0), class_id=252)
         track = extract_track(agg, 5)

@@ -495,13 +495,17 @@ class TestLift:
         assert main(["lift", "--sequence", str(seq_dir)]) == 2
         assert capsys.readouterr().err == f"error: {first}: truncated image header\n"
 
+    def test_first_image_with_no_pixels_is_named(self, seq_dir, capsys):
+        first = seq_dir / "image_2" / "000000.ppm"
+        first.write_bytes(b"P6 0 4 255\n")
+        assert main(["lift", "--sequence", str(seq_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {first}: bad image dimensions 0x4\n"
+
     def test_image_that_decodes_to_no_pixels_is_named(self, seq_dir, capsys):
         present = seq_dir / "image_2" / "000005.ppm"
         present.write_bytes(b"P6 0 4 255\n")
         assert main(["lift", "--sequence", str(seq_dir), "--frame", "5"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {present}: image features must have shape (H, W, C)\n"
-        )
+        assert capsys.readouterr().err == f"error: {present}: bad image dimensions 0x4\n"
 
     def test_calibration_problems_are_named(self, seq_dir, tmp_path, capsys):
         no_p2, no_images = _without_p2(seq_dir, tmp_path / "no-p2"), tmp_path / "no-images"

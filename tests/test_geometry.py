@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lidarseq.errors import InvalidInputError
 from lidarseq.geometry import (
+    _APPLY_BLOCK,
     LabeledCloud,
     ORTHONORMAL_STRICT_TOL,
     Pose,
@@ -123,6 +124,43 @@ class TestComposeInvert:
         before = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         after = np.linalg.norm(moved[:, None] - moved[None, :], axis=-1)
         assert np.abs(before - after).max() < 1e-9
+
+
+class TestPoseApplyBlocks:
+    """apply runs in blocks of _APPLY_BLOCK rows; a row's bits must not
+    depend on the block, the batch or the output it lands in."""
+
+    @pytest.fixture
+    def pose_and_points(self):
+        rng = np.random.default_rng(9)
+        return random_pose(rng), rng.normal(size=(2 * _APPLY_BLOCK + 7, 3)) * 40
+
+    def test_whole_array_matches_rows_and_subsets(self, pose_and_points):
+        pose, xyz = pose_and_points
+        whole = pose.apply(xyz)
+        rot, trans = pose.rotation, pose.translation
+        unblocked = np.stack(
+            [rot[a, 0] * xyz[:, 0] + rot[a, 1] * xyz[:, 1] + rot[a, 2] * xyz[:, 2] + trans[a]
+             for a in range(3)], axis=1,
+        )
+        assert whole.shape == xyz.shape and whole.tobytes() == unblocked.tobytes()
+        rows = np.concatenate([pose.apply(xyz[i : i + 1]) for i in range(xyz.shape[0])])
+        assert rows.tobytes() == whole.tobytes()
+        rng = np.random.default_rng(10)
+        for size in (1, 5, _APPLY_BLOCK - 1, _APPLY_BLOCK + 1, xyz.shape[0] - 3):
+            pick = np.sort(rng.choice(xyz.shape[0], size=size, replace=False))
+            assert pose.apply(xyz[pick]).tobytes() == whole[pick].tobytes()
+        assert pose.apply(xyz[::3]).tobytes() == whole[::3].tobytes()
+
+    def test_output_may_alias_the_input(self, pose_and_points):
+        pose, xyz = pose_and_points
+        moved = xyz.copy()
+        assert pose.apply(moved, out=moved) is moved
+        assert moved.tobytes() == pose.apply(xyz).tobytes()
+
+    def test_zero_rows(self):
+        moved = random_pose(np.random.default_rng(2)).apply(np.empty((0, 3)))
+        assert moved.shape == (0, 3) and moved.dtype == np.float64
 
 
 class TestPointContainers:

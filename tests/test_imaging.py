@@ -442,7 +442,7 @@ class TestImageFiles:
     @pytest.mark.parametrize("name, data, reason", [
         ("nan.fmap", b"FMAP 1 1 2\n" + np.array([0.5, np.nan], "<f4").tobytes(),
          "image features must be finite"),
-        ("empty.ppm", b"P6 0 4 255\n", "image features must have shape (H, W, C)"),
+        ("empty.ppm", b"P6 0 4 255\n", "bad image dimensions 0x4"),
     ])
     def test_decoded_image_failing_its_checks_names_the_file(self, tmp_path, name, data, reason):
         path = tmp_path / name
