@@ -16,14 +16,17 @@ class's group (unmapped classes take the division's default step, near
 points of a distance-split group the near step), and a point at offset k is
 kept when its step divides k. The kept rows of every frame are picked first,
 then each part is written once into its slice of one output, and only kept
-rows are moved. Rows come out present sweep first, then past sweeps by
-ascending offset, each in its source order.
+rows are moved: the calling thread moves the coordinates while one helper
+thread per call writes the other columns. Each output array has one writer,
+so no result depends on the scheduling. Rows come out present sweep first,
+then past sweeps by ascending offset, each in its source order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -207,6 +210,21 @@ def _walk(frames: Sequence[SequenceFrame], t: int, steps, window: int):
         yield by_index[index], relative_pose(present.pose, by_index[index].pose)
 
 
+def _fill_columns(parts, outs) -> None:
+    """Write each part's intensity, labels and source tags into its slice of
+    ``outs``. The helper thread's body: numpy only, so a caller wrapping
+    lidarseq functions sees every call on the calling thread."""
+    for part, frame, _, rows, step_tags in parts:
+        labeled = frame.labeled
+        for out, column in zip(outs, (labeled.cloud.intensity, labeled.semantic, labeled.instance)):
+            if rows is None:
+                out[part] = column
+            else:
+                np.take(column, rows, out=out[part], mode="clip")
+        outs[3][part] = frame.index
+        outs[4][part] = step_tags
+
+
 def _aggregate(
     frames: Sequence[SequenceFrame],
     t: int,
@@ -266,20 +284,36 @@ def _aggregate(
         if rows is None or rows.shape[0]:
             picks.append((frame, pose, rows, tags[code if rows is None else code[rows]]))
 
-    # pass 2: each part written once into its slice of one output
+    # pass 2: each part written once into its slice of one output; a helper
+    # thread fills the other columns while this thread moves xyz
     sizes = [frame.count if rows is None else rows.shape[0] for frame, _, rows, _ in picks]
     starts = np.cumsum([0] + sizes).tolist()
     n = starts[-1]
     outs = (np.empty((n, 3)), np.empty(n), *(np.empty(n, np.int64) for _ in range(4)))
-    for (frame, pose, rows, step_tags), start, stop in zip(picks, starts, starts[1:]):
-        part, labeled = slice(start, stop), frame.labeled
-        kept = [labeled.cloud.xyz, labeled.cloud.intensity, labeled.semantic, labeled.instance]
-        if rows is not None:  # mode="clip" takes straight into out; "raise" would buffer
-            kept = [np.take(c, rows, axis=0, out=o[part], mode="clip") for o, c in zip(outs, kept)]
-        if pose is not None:  # moved straight into its slice, in place after np.take
-            kept[0] = pose.apply(kept[0], out=outs[0][part])
-        for out, column in zip(outs, kept + [frame.index, step_tags]):
-            out[part] = column  # a no-op where np.take or apply already wrote the slice
+    parts = [(slice(start, stop), *pick) for pick, start, stop in zip(picks, starts, starts[1:])]
+    failed = []
+
+    def fill():
+        try:
+            _fill_columns(parts, outs[1:])
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=fill)
+    helper.start()
+    try:
+        for part, frame, pose, rows, _ in parts:
+            xyz = frame.labeled.cloud.xyz
+            if rows is not None:  # mode="clip" takes straight into out; "raise" would buffer
+                xyz = np.take(xyz, rows, axis=0, out=outs[0][part], mode="clip")
+            if pose is None:  # the present sweep, as it is
+                outs[0][part] = xyz
+            else:  # moved straight into its slice, in place after np.take
+                pose.apply(xyz, out=outs[0][part])
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
     xyz, intensity, semantic, instance, source_frame, source_step = outs
     labeled = _from_checked(LabeledCloud, _from_checked(PointCloud, xyz, intensity), semantic, instance)
     return _from_checked(AggregatedCloud, labeled, source_frame, source_step, t)

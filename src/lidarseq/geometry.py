@@ -19,7 +19,7 @@ from .errors import InvalidInputError
 # by ~1 ulp and break byte-exact file round trips.
 ORTHONORMAL_CONSTRUCT_TOL = 1e-6
 ORTHONORMAL_STRICT_TOL = 1e-9
-_APPLY_BLOCK = 4096  # rows per Pose.apply block; see there
+_APPLY_BLOCK = 16384  # rows per Pose.apply block; see there
 
 
 def _orthonormality_error(rot: np.ndarray) -> float:
@@ -74,21 +74,36 @@ class Pose:
     def apply(self, xyz: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform an (N, 3) coordinate array into the parent frame.
 
-        Rows go in blocks of ``_APPLY_BLOCK`` (4,096): a block's temporaries
-        (96 KiB at most) stay in cache and below glibc's 128 KiB mmap
-        threshold, so blocks reuse heap pages. Each axis is the per-column
-        ``r0*x + r1*y + r2*z + t``, never a matmul (BLAS sums in a
-        shape-dependent order), so no batching changes a row's bits. A
-        block's results are computed before any is written to ``out`` (new
-        when None), so ``out`` may be ``xyz`` itself.
+        Rows go in blocks of ``_APPLY_BLOCK`` (16,384): a block's rows are
+        copied into three contiguous columns, and each axis of the (3, B)
+        result is accumulated in place as ``((r0*x + r1*y) + r2*z) + t``,
+        never a matmul (BLAS sums in a shape-dependent order), so no
+        batching changes a row's bits. The three buffers are one allocation
+        sized by the smaller of N and the block; as three 384 KiB arrays,
+        glibc would hand them back to the OS and fault them in again on
+        every call. A block's results are computed before any is written to
+        ``out`` (new when None; float64 of ``xyz``'s shape), so ``out`` may
+        be ``xyz`` itself.
         """
         xyz = np.asarray(xyz, dtype=np.float64)
-        out = np.empty_like(xyz) if out is None else out
-        rot, trans = self.rotation, self.translation
+        if xyz.ndim != 2 or xyz.shape[1] != 3:
+            raise InvalidInputError(f"points must have shape (N, 3), got {xyz.shape}")
+        if out is None:
+            out = np.empty_like(xyz)
+        elif out.dtype != np.float64 or out.shape != xyz.shape:
+            raise InvalidInputError(f"out must be float64 of shape {xyz.shape}, got {out.dtype} {out.shape}")
+        rot, trans = self.rotation, self.translation[:, None]
+        cols, acc, term = np.empty((3, 3, min(xyz.shape[0], _APPLY_BLOCK)))
         for lo in range(0, xyz.shape[0], _APPLY_BLOCK):
-            x, y, z = xyz[lo : lo + _APPLY_BLOCK].T.copy()
-            moved = [rot[a, 0] * x + rot[a, 1] * y + rot[a, 2] * z + trans[a] for a in range(3)]
-            out[lo : lo + _APPLY_BLOCK] = np.column_stack(moved)
+            block = xyz[lo : lo + _APPLY_BLOCK]
+            m = block.shape[0]  # short only for the last block
+            cols, acc, term = cols[:, :m], acc[:, :m], term[:, :m]
+            cols[...] = block.T
+            np.multiply(rot[:, 0:1], cols[0], out=acc)
+            acc += np.multiply(rot[:, 1:2], cols[1], out=term)
+            acc += np.multiply(rot[:, 2:3], cols[2], out=term)
+            acc += trans
+            out[lo : lo + m] = acc.T
         return out
 
 

@@ -7,10 +7,12 @@ implementation masks first, so agreement is meaningful.
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from lidarseq import aggregation
 from lidarseq.aggregation import (
     DEFAULT_CLASS_SCORES,
     DIVISION_PRESET_NAMES,
@@ -28,7 +30,7 @@ from lidarseq.aggregation import (
     sampled_offsets,
 )
 from lidarseq.errors import ConfigurationError, InvalidInputError
-from lidarseq.geometry import LabeledCloud, PointCloud, Pose, relative_pose
+from lidarseq.geometry import _APPLY_BLOCK, LabeledCloud, PointCloud, Pose, relative_pose
 from lidarseq.sequence import SequenceFrame, corrupt_labels, generate_synthetic
 
 from helpers import (
@@ -552,6 +554,110 @@ class TestOutputsFromCheckedFrames:
         xyz[7, 1] = np.nan
         with pytest.raises(InvalidInputError, match="non-finite"):
             PointCloud(xyz, frames[3].labeled.cloud.intensity)
+
+
+def strategy_and_division(strategy: str, window: int):
+    """The aggregation call a strategy names, and a division the references
+    read it as (direct and stepped are one all-class group)."""
+    every_class = frozenset(range(1, 20))
+    if strategy == "direct":
+        return (lambda frames, t: aggregate_direct(frames, t, window),
+                GroupDivision((ClassGroup(every_class, 1),), window=window, default_step=1))
+    if strategy == "stepped":
+        return (lambda frames, t: aggregate_stepped(frames, t, window, 2),
+                GroupDivision((ClassGroup(every_class, 2),), window=window, default_step=2))
+    division = division_preset(strategy, window=window)
+    return (lambda frames, t: aggregate_fsa(frames, t, division)), division
+
+
+class TestBlockEdges:
+    """Frames larger than one Pose.apply block, so moved parts cross block
+    edges at places that differ from the oracle's whole-frame transforms."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        return scene(frame_count=9, points=40000, classes={c: 1 / 19 for c in range(1, 20)})
+
+    @staticmethod
+    def serial(frames, t, division):
+        """Columns assembled one part after another on one thread, each kept
+        part moved by the unblocked per-column formula."""
+        by_index = {f.index: f for f in frames}
+        lookup = {c: (g.step, g.near_step(), g.distance_split.threshold_m if g.distance_split else 0.0)
+                  for g in division.groups for c in g.classes}
+        fallback = (division.default_step, division.default_step, 0.0)
+        parts = []
+        for offset in range(min(division.window, t - min(by_index)) + 1):
+            frame = by_index[t - offset]
+            labeled, xyz = frame.labeled, frame.labeled.cloud.xyz
+            if offset == 0:
+                keep, steps, moved = np.ones(frame.count, bool), np.zeros(frame.count), xyz
+            else:
+                far, near, split = np.array([lookup.get(c, fallback) for c in labeled.semantic.tolist()]).T
+                steps = np.where(np.linalg.norm(xyz, axis=1) < split, near, far)
+                keep = np.isfinite(steps) & (offset % np.where(np.isfinite(steps), steps, 1) == 0)
+                pose = relative_pose(by_index[t].pose, frame.pose)
+                rot, trans, kept = pose.rotation, pose.translation, xyz[keep]
+                moved = np.stack([rot[a, 0] * kept[:, 0] + rot[a, 1] * kept[:, 1] + rot[a, 2] * kept[:, 2]
+                                  + trans[a] for a in range(3)], axis=1)
+            parts.append({
+                "xyz": moved, "intensity": labeled.cloud.intensity[keep],
+                "semantic": labeled.semantic[keep], "instance": labeled.instance[keep],
+                "source_frame": np.full(int(keep.sum()), frame.index),
+                "source_step": steps[keep].astype(np.int64),
+            })
+        return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+    @pytest.mark.parametrize("strategy", ["direct", "stepped", *DIVISION_PRESET_NAMES])
+    def test_bit_identical_to_the_oracle_and_a_serial_reference(self, frames, strategy):
+        aggregate, division = strategy_and_division(strategy, window=8)
+        agg = aggregate(frames, 8)
+        assert frames[0].count > _APPLY_BLOCK
+        assert np.bincount(agg.source_frame)[:8].max() > _APPLY_BLOCK  # a past part spans blocks
+        oracle = sort_rows(fsa_oracle_rows(frames, 8, division))
+        assert sort_rows(agg_rows(agg)).tobytes() == oracle.tobytes()
+        got, want = TestAssembly.columns(agg), self.serial(frames, 8, division)
+        for name, column in got.items():
+            assert column.dtype == want[name].dtype and column.shape == want[name].shape, name
+            assert column.tobytes() == want[name].tobytes(), name
+
+
+class TestHelperThread:
+    """Pass 2 moves xyz on the calling thread while one helper thread per
+    call writes the other columns."""
+
+    @pytest.mark.parametrize("strategy", ["direct", "stepped", "division5"])
+    def test_every_pose_apply_runs_on_the_calling_thread(self, monkeypatch, strategy):
+        frames = scene(frame_count=8, classes={c: 1 / 19 for c in range(1, 20)})
+        aggregate, _ = strategy_and_division(strategy, window=6)
+        want = TestAssembly.columns(aggregate(frames, 7))
+        callers, original = [], Pose.apply
+
+        def recording(pose, xyz, out=None):
+            callers.append(threading.get_ident())
+            return original(pose, xyz, out=out)
+
+        before = threading.active_count()
+        monkeypatch.setattr(Pose, "apply", recording)
+        got = TestAssembly.columns(aggregate(frames, 7))
+        assert callers and set(callers) == {threading.get_ident()}
+        assert threading.active_count() == before
+        for name, column in got.items():
+            assert column.tobytes() == want[name].tobytes(), name
+
+    def test_a_failing_column_copy_is_raised_after_the_helper_ends(self, monkeypatch):
+        frames = scene(frame_count=8)
+        original = aggregation._fill_columns
+
+        def failing(parts, outs):
+            original(parts[:1], outs)
+            raise MemoryError("column copy failed")
+
+        before = threading.active_count()
+        monkeypatch.setattr(aggregation, "_fill_columns", failing)
+        with pytest.raises(MemoryError, match="column copy failed"):
+            aggregate_direct(frames, 7, 6)
+        assert threading.active_count() == before
 
 
 class TestDivisions:

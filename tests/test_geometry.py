@@ -5,6 +5,8 @@ sequential-application oracle, inversion round trips, rigidity, and the
 immutability of the containers.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,20 @@ class TestPoseApplyBlocks:
     def test_zero_rows(self):
         moved = random_pose(np.random.default_rng(2)).apply(np.empty((0, 3)))
         assert moved.shape == (0, 3) and moved.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(5, 2), (3,), (2, 3, 3), (4, 4)])
+    def test_points_that_are_not_n_by_3_are_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match=rf"\(N, 3\), got {re.escape(str(shape))}"):
+            Pose.identity().apply(np.zeros(shape))
+
+    @pytest.mark.parametrize("dtype, shape", [(np.float32, (5, 3)), (np.int64, (5, 3)),
+                                              (np.float64, (4, 3)), (np.float64, (15,))])
+    def test_out_of_another_dtype_or_shape_is_rejected(self, dtype, shape):
+        xyz = np.ones((5, 3))
+        out = np.full(shape, 7, dtype=dtype)
+        with pytest.raises(InvalidInputError, match=re.escape(f"{(5, 3)}, got {np.dtype(dtype)} {shape}")):
+            Pose.identity().apply(xyz, out=out)
+        assert (out == 7).all()
 
 
 class TestPointContainers:
