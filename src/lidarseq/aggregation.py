@@ -35,14 +35,13 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .geometry import LabeledCloud, PointCloud, _from_checked, relative_pose
-from .sequence import SequenceFrame, _entries, _from_mapping, _integer, _is_whole, _list, _number, _read_yaml
+from .sequence import (
+    LABEL_FIELD_SIZE, SequenceFrame, _entries, _from_mapping, _integer, _is_whole, _list, _number, _read_yaml,
+)
 
 INFINITE_STEP = math.inf
 
 DEFAULT_WINDOW = 16
-
-# Semantic ids live in the low 16 bits of a SemanticKITTI label record.
-LABEL_FIELD_SIZE = 1 << 16
 
 
 def _check_step(step, name: str = "step") -> float:

@@ -22,6 +22,14 @@ ORTHONORMAL_STRICT_TOL = 1e-9
 _APPLY_BLOCK = 16384  # rows per Pose.apply block; see there
 
 
+def _as_points(values, dtype=np.float64, what: str = "points") -> np.ndarray:
+    """``values`` as an (N, 3) array of ``dtype``; any other shape is rejected."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise InvalidInputError(f"{what} must have shape (N, 3), got {arr.shape}")
+    return arr
+
+
 def _orthonormality_error(rot: np.ndarray) -> float:
     return float(np.abs(rot.T @ rot - np.eye(3)).max())
 
@@ -85,9 +93,7 @@ class Pose:
         ``out`` (new when None; float64 of ``xyz``'s shape), so ``out`` may
         be ``xyz`` itself.
         """
-        xyz = np.asarray(xyz, dtype=np.float64)
-        if xyz.ndim != 2 or xyz.shape[1] != 3:
-            raise InvalidInputError(f"points must have shape (N, 3), got {xyz.shape}")
+        xyz = _as_points(xyz)
         if out is None:
             out = np.empty_like(xyz)
         elif out.dtype != np.float64 or out.shape != xyz.shape:
@@ -136,7 +142,7 @@ class PointCloud:
     intensity: np.ndarray
 
     def __post_init__(self):
-        xyz = np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3)
+        xyz = _as_points(self.xyz).view()  # frozen below; the caller's array stays writable
         intensity = np.asarray(self.intensity, dtype=np.float64).reshape(-1)
         if intensity.shape[0] != xyz.shape[0]:
             raise InvalidInputError(

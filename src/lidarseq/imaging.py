@@ -29,7 +29,7 @@ import numpy as np
 
 from .aggregation import AggregatedCloud, _walk
 from .errors import ConfigurationError, FormatError, InvalidInputError
-from .geometry import Pose
+from .geometry import Pose, _as_points
 from .sequence import CameraCalib, SequenceFrame, _is_whole, _parse_calib
 from .voxels import (
     DEFAULT_VOXEL_SIZE,
@@ -104,10 +104,7 @@ class PointImageFeatures:
 def _as_xyz(points) -> np.ndarray:
     if isinstance(points, AggregatedCloud):
         return points.labeled.cloud.xyz
-    xyz = np.asarray(points, dtype=np.float64)
-    if xyz.ndim != 2 or xyz.shape[1] != 3:
-        raise InvalidInputError("expected an (N, 3) array of points")
-    return xyz
+    return _as_points(points)
 
 
 def project_to_image(points, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

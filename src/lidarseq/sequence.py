@@ -34,6 +34,8 @@ FRAME_PERIOD_S = 0.1
 
 POINT_RECORD_BYTES = 16  # four little-endian float32 per point
 LABEL_RECORD_BYTES = 4
+# Semantic ids fill the low 16 bits of a label record, instance ids the high 16.
+LABEL_FIELD_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -262,6 +264,15 @@ def write_sequence(seq_dir, frames: Sequence[SequenceFrame], calib: CameraCalib 
     """
     if not frames:
         raise InvalidInputError("cannot write an empty sequence")
+    ordered = sorted(frames, key=lambda f: f.index)
+    for frame in ordered:  # before any file is written
+        for name, ids in (("semantic", frame.labeled.semantic), ("instance", frame.labeled.instance)):
+            lo, hi = (int(ids.min()), int(ids.max())) if ids.size else (0, 0)
+            if lo < 0 or hi >= LABEL_FIELD_SIZE:
+                raise InvalidInputError(
+                    f"frame {frame.index}: {name} id {lo if lo < 0 else hi} lies outside "
+                    f"the 16-bit label field [0, {LABEL_FIELD_SIZE - 1}]"
+                )
     seq_dir = Path(seq_dir)
     (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
     (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
@@ -269,7 +280,6 @@ def write_sequence(seq_dir, frames: Sequence[SequenceFrame], calib: CameraCalib 
         calib = default_camera_calib()
     tr = calib.extrinsic
 
-    ordered = sorted(frames, key=lambda f: f.index)
     pose_lines = []
     time_lines = []
     for slot, frame in enumerate(ordered):
@@ -280,10 +290,7 @@ def write_sequence(seq_dir, frames: Sequence[SequenceFrame], calib: CameraCalib 
         data[:, 3] = cloud.intensity
         (seq_dir / "velodyne" / f"{stem}.bin").write_bytes(data.tobytes())
 
-        packed = (
-            (frame.labeled.semantic.astype(np.uint32) & np.uint32(0xFFFF))
-            | (frame.labeled.instance.astype(np.uint32) << np.uint32(16))
-        ).astype("<u4")
+        packed = (frame.labeled.semantic | frame.labeled.instance << 16).astype("<u4")
         (seq_dir / "labels" / f"{stem}.label").write_bytes(packed.tobytes())
 
         if frame.file_pose is not None:

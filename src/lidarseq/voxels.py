@@ -5,24 +5,25 @@ row each. Coordinates follow ``floor((p - origin) / voxel_size)`` and are
 kept in ascending lexicographic order (x, then y, then z), which makes set
 operations between maps deterministic.
 
-Every voxel lookup (trilinear gather, kernel taps, shared-voxel selection)
-goes through one batched index, ``VoxelFeatureMap.rows``. Each map packs its
-coordinates into mixed-radix int64 keys over its own bounding box, so the
-keys ascend in the canonical order and one ``np.searchsorted`` answers a
-whole batch. A queried coordinate outside the box is a miss and is never
-packed. A map whose box volume does not fit the keys (2**62 voxels or more)
-is rejected when it is built.
+Every map is made by ``_build``: it packs the coordinates into mixed-radix
+int64 keys over their bounding box (the keys ascend in the canonical order),
+stable-sorts them once, and averages rows that share a key (voxelize,
+downsample) or rejects them (the constructor). The kernel keeps its input's
+coordinates, keys and box. Lookups (gather, kernel taps, shared voxels) are
+one ``np.searchsorted`` per batch in ``VoxelFeatureMap.rows``; coordinates
+outside the box miss unpacked. A box of 2**62 voxels or more is rejected.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, InvalidInputError
+from .geometry import _as_points, _from_checked
 
 DEFAULT_VOXEL_SIZE = 0.05
 
@@ -36,56 +37,33 @@ class VoxelFeatureMap:
     coords: np.ndarray    # (V, 3) int64, unique, ascending
     features: np.ndarray  # (V, C) float64
     scale_level: int = 0
+    _index: tuple = field(init=False, repr=False, compare=False)  # box lo, hi, radix, keys
 
     def __post_init__(self):
         if not (self.voxel_size > 0):
             raise InvalidInputError(f"voxel_size must be positive, got {self.voxel_size}")
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        coords = np.asarray(self.coords, dtype=np.int64).reshape(-1, 3)
+        coords = _as_points(self.coords, np.int64, "voxel coordinates")
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != coords.shape[0]:
             raise InvalidInputError(
                 f"features shape {features.shape} does not match {coords.shape[0]} voxels"
             )
-        if not np.isfinite(features).all():
-            raise InvalidInputError("voxel features contain non-finite values")
-        if coords.shape[0]:
-            lo, hi = coords.min(axis=0), coords.max(axis=0)
-        else:  # an empty box: every query misses
-            lo, hi = np.zeros(3, np.int64), np.full(3, -1, np.int64)
-        # Keys run up to the box volume. It is computed in Python ints, so a
-        # volume past int64 is caught here instead of wrapping.
-        span = [h - l + 1 for h, l in zip(hi.tolist(), lo.tolist())]
-        if span[0] * span[1] * span[2] >= 1 << 62:
-            raise InvalidInputError(
-                f"voxel coordinates span a {span[0]} x {span[1]} x {span[2]} box, "
-                f"too large to index (volume must stay below 2**62)"
-            )
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
-        object.__setattr__(self, "_radix", np.array([span[1] * span[2], span[2], 1], np.int64))
-        keys = (coords - lo) @ self._radix  # mixed radix: ascends with coords
-        order = np.argsort(keys, kind="stable")
-        coords, features, keys = coords[order], features[order], keys[order]
-        if (np.diff(keys) == 0).any():
-            raise InvalidInputError("duplicate voxel coordinates")
-        for arr in (origin, coords, features, keys):
-            arr.flags.writeable = False
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "_keys", keys)
+        built = _build(self.voxel_size, origin, coords, features, self.scale_level)
+        for f in fields(self):
+            object.__setattr__(self, f.name, getattr(built, f.name))
 
     def rows(self, coords) -> np.ndarray:
         """Row of each (M, 3) coordinate in this map, or -1 where unoccupied."""
-        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+        lo, hi, radix, stored = self._index
+        coords = _as_points(coords, np.int64, "voxel coordinates")
         out = np.full(coords.shape[0], -1, dtype=np.int64)
         # only in-box coordinates are packed: an outside one could alias a key
-        inside = (coords >= self._lo) & (coords <= self._hi)
+        inside = (coords >= lo) & (coords <= hi)
         inside = inside[:, 0] & inside[:, 1] & inside[:, 2]
-        keys = (coords[inside] - self._lo) @ self._radix
-        pos = np.minimum(np.searchsorted(self._keys, keys), self.count - 1)
-        out[inside] = np.where(self._keys[pos] == keys, pos, -1)
+        keys = (coords[inside] - lo) @ radix
+        pos = np.minimum(np.searchsorted(stored, keys), self.count - 1)
+        out[inside] = np.where(stored[pos] == keys, pos, -1)
         return out
 
     @property
@@ -97,19 +75,41 @@ class VoxelFeatureMap:
         return self.features.shape[1]
 
 
-def _mean_reduce(coords: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse duplicate coordinates, averaging their feature rows."""
-    if coords.shape[0] == 0:
-        return coords, features
-    order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
-    coords = coords[order]
-    features = features[order]
-    new_group = np.ones(coords.shape[0], dtype=bool)
-    new_group[1:] = np.any(np.diff(coords, axis=0) != 0, axis=1)
-    starts = np.flatnonzero(new_group)
-    counts = np.diff(np.append(starts, coords.shape[0]))
-    summed = np.add.reduceat(features, starts, axis=0)
-    return coords[starts], summed / counts[:, None]
+def _build(voxel_size, origin, coords, features, scale_level, pool=False) -> VoxelFeatureMap:
+    """A map from checked (V, 3) int64 ``coords`` and (V, C) ``features``.
+
+    Rows that share a key are averaged, added in their input order, when
+    ``pool`` and rejected otherwise.
+    """
+    if coords.shape[0]:
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+    else:  # an empty box: every query misses
+        lo, hi = np.zeros(3, np.int64), np.full(3, -1, np.int64)
+    # Keys run up to the box volume. It is computed in Python ints, so a
+    # volume past int64 is caught here instead of wrapping.
+    span = [h - l + 1 for h, l in zip(hi.tolist(), lo.tolist())]
+    if span[0] * span[1] * span[2] >= 1 << 62:
+        raise InvalidInputError(
+            f"voxel coordinates span a {span[0]} x {span[1]} x {span[2]} box, "
+            f"too large to index (volume must stay below 2**62)"
+        )
+    radix = np.array([span[1] * span[2], span[2], 1], np.int64)
+    keys = (coords - lo) @ radix  # mixed radix: ascends with coords
+    order = np.argsort(keys, kind="stable")
+    keys, features = keys[order], features[order]
+    repeats = keys[1:] == keys[:-1]
+    if repeats.any():
+        if not pool:
+            raise InvalidInputError("duplicate voxel coordinates")
+        starts = np.flatnonzero(np.append(True, ~repeats))
+        counts = np.diff(starts, append=keys.size)
+        features = np.add.reduceat(features, starts, axis=0) / counts[:, None]
+        order, keys = order[starts], keys[starts]
+    if not np.isfinite(features).all():  # a mean of finite rows can overflow
+        raise InvalidInputError("voxel features contain non-finite values")
+    keys.flags.writeable = False
+    index = (lo, hi, radix, keys)
+    return _from_checked(VoxelFeatureMap, voxel_size, origin, coords[order], features, scale_level, index)
 
 
 def voxelize(
@@ -119,29 +119,25 @@ def voxelize(
     origin=(0.0, 0.0, 0.0),
 ) -> VoxelFeatureMap:
     """Quantize points to voxels; co-located feature rows are averaged."""
-    xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    xyz = _as_points(xyz)
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features[:, None]
-    if features.shape[0] != xyz.shape[0]:
-        raise InvalidInputError(
-            f"{features.shape[0]} feature rows for {xyz.shape[0]} points"
-        )
+    if features.ndim != 2 or features.shape[0] != xyz.shape[0]:
+        raise InvalidInputError(f"features shape {features.shape} does not match {xyz.shape[0]} points")
     if not np.isfinite(xyz).all():
         raise InvalidInputError("cannot voxelize non-finite coordinates")
     if not (voxel_size > 0):
         raise InvalidInputError(f"voxel_size must be positive, got {voxel_size}")
     origin_arr = np.asarray(origin, dtype=np.float64).reshape(3)
     coords = np.floor((xyz - origin_arr) / voxel_size).astype(np.int64)
-    coords, pooled = _mean_reduce(coords, features)
-    return VoxelFeatureMap(voxel_size, origin_arr, coords, pooled)
+    return _build(voxel_size, origin_arr, coords, features, 0, pool=True)
 
 
 def downsample(vmap: VoxelFeatureMap) -> VoxelFeatureMap:
     """Halve the resolution: floor-divide coordinates by two, average features."""
-    coords, pooled = _mean_reduce(vmap.coords // 2, vmap.features)
-    return VoxelFeatureMap(
-        vmap.voxel_size * 2.0, vmap.origin, coords, pooled, vmap.scale_level + 1
+    return _build(
+        vmap.voxel_size * 2.0, vmap.origin, vmap.coords // 2, vmap.features, vmap.scale_level + 1, pool=True
     )
 
 
@@ -155,7 +151,7 @@ def gather_trilinear(vmap: VoxelFeatureMap, query_xyz: np.ndarray) -> np.ndarray
     renormalized over the occupied ones; a query with no occupied neighbor
     (or only zero-weight ones) yields the zero vector.
     """
-    query_xyz = np.asarray(query_xyz, dtype=np.float64).reshape(-1, 3)
+    query_xyz = _as_points(query_xyz, what="query points")
     if not np.isfinite(query_xyz).all():
         raise InvalidInputError("query points contain non-finite values")
     m = query_xyz.shape[0]
@@ -209,7 +205,11 @@ def apply_fixed_kernel(vmap: VoxelFeatureMap, kernel: np.ndarray) -> VoxelFeatur
         found = rows >= 0
         if found.any():
             out[found] += vmap.features[rows[found]] @ tap.T
-    return VoxelFeatureMap(vmap.voxel_size, vmap.origin, vmap.coords, out, vmap.scale_level)
+    if not np.isfinite(out).all():
+        raise InvalidInputError("voxel features contain non-finite values")
+    return _from_checked(
+        VoxelFeatureMap, vmap.voxel_size, vmap.origin, vmap.coords, out, vmap.scale_level, vmap._index
+    )
 
 
 def save_voxel_maps(path, maps) -> None:

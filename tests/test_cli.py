@@ -190,6 +190,21 @@ class TestSynth:
             assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
 
+    def test_label_ids_outside_16_bits_are_data_errors(self, tmp_path, capsys):
+        # written as 4464 and 65533 before the label field was checked
+        cases = {
+            "class": ({**SPEC, "classes": {70000: 0.6, 252: 0.4}}, "semantic id 70000"),
+            "negative": ({**SPEC, "classes": {-3: 0.6, 252: 0.4}}, "semantic id -3"),
+            "instance": ({**SPEC, "instances": [{**SPEC["instances"][0], "instance_id": 70000}]},
+                         "instance id 70000"),
+        }
+        for name, (mapping, message) in cases.items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(mapping))
+            assert main(["synth", str(path), "--out", str(tmp_path / name)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: frame 0: {message} lies outside")
+            assert not (tmp_path / name).exists()
+
     def test_default_camera_matches_write_sequence(self, seq_dir, spec_path, tmp_path):
         # SPEC has no camera key, and write_sequence without a calibration
         # takes the same default camera
@@ -581,6 +596,17 @@ class TestDistill:
         for bad in (empty, short_meta):
             assert main(["distill", "--student", str(bad), "--teacher", str(good)]) == 2
             assert f"error: {bad}: not a voxel map archive (" in capsys.readouterr().err
+
+    def test_coords_that_are_not_v_by_3_are_a_data_error(self, tmp_path, capsys):
+        # (3, 2) coordinates once loaded as two voxels and distilled to "scale_0 0.0"
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, map_count=np.array(1), scale0_coords=np.arange(6).reshape(3, 2),
+                 scale0_features=np.ones((2, 3)), scale0_meta=np.array([0.4, 0.0, 0.0, 0.0, 0.0]))
+        assert main(["distill", "--student", str(bad), "--teacher", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: not a voxel map archive (")
+        assert "got (3, 2)" in captured.err
 
     def test_missing_dump_is_a_data_error(self, tmp_path):
         assert main(["distill", "--student", str(tmp_path / "a.npz"),

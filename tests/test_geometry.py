@@ -194,6 +194,13 @@ class TestPointContainers:
         with pytest.raises(InvalidInputError):
             PointCloud(np.zeros((1, 3)), np.array([1.5]))
 
+    def test_cloud_rejects_points_that_are_not_n_by_3(self):
+        # a (3, 2) array must not be read as two 3-D points
+        for xyz in (np.zeros((3, 2)), np.zeros(6), np.zeros((2, 3, 1))):
+            message = f"points must have shape (N, 3), got {xyz.shape}"
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                PointCloud(xyz, np.zeros(2))
+
     def test_cloud_rejects_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             PointCloud(np.zeros((3, 3)), np.zeros(2))
@@ -204,6 +211,8 @@ class TestPointContainers:
             LabeledCloud(cloud, np.zeros(2, np.int64), np.zeros(3, np.int64))
 
     def test_arrays_are_frozen(self):
-        cloud = PointCloud(np.zeros((2, 3)), np.zeros(2))
+        xyz = np.zeros((2, 3))
+        cloud = PointCloud(xyz, np.zeros(2))
         with pytest.raises(ValueError):
             cloud.xyz[0, 0] = 1.0
+        assert xyz.flags.writeable  # the caller's own array is left as it was

@@ -4,6 +4,7 @@ The round-trip tests treat the writer as the reference serializer: whatever
 load_sequence returns must re-serialize to the very same bytes.
 """
 
+import dataclasses
 import shutil
 from pathlib import Path
 
@@ -114,6 +115,44 @@ class TestRoundTrip:
             calib.fx, calib.fy, calib.cx, calib.cy, 128, 96,
         )
         assert np.array_equal(got.extrinsic.matrix, calib.extrinsic.matrix)
+
+
+def with_ids(frame: SequenceFrame, semantic, instance) -> SequenceFrame:
+    """``frame`` with its first and last points relabeled."""
+    sem, inst = frame.labeled.semantic.copy(), frame.labeled.instance.copy()
+    sem[[0, -1]], inst[[0, -1]] = semantic, instance
+    return dataclasses.replace(frame, labeled=LabeledCloud(frame.labeled.cloud, sem, inst))
+
+
+class TestLabelField:
+    """Semantic and instance ids share one 32-bit record, 16 bits each."""
+
+    @pytest.mark.parametrize("name, semantic, instance, bad", [
+        ("semantic", 70000, 0, 70000),
+        ("semantic", -3, 0, -3),
+        ("instance", 1, 70000, 70000),
+        ("instance", 1, -3, -3),
+    ])
+    def test_ids_outside_16_bits_are_rejected(self, tmp_path, name, semantic, instance, bad):
+        # once written masked or shifted: 70000 as 4464, -3 as 65533
+        frames = list(generate_synthetic(demo_spec()))
+        frames[2] = with_ids(frames[2], semantic, instance)
+        message = rf"^frame 2: {name} id {bad} lies outside the 16-bit label field \[0, 65535\]"
+        with pytest.raises(InvalidInputError, match=message):
+            write_sequence(tmp_path / "seq", frames)
+        assert not (tmp_path / "seq").exists()
+
+    def test_field_edges_round_trip(self, tmp_path):
+        frames = list(generate_synthetic(demo_spec()))
+        frames[1] = with_ids(frames[1], [0, 65535], [65535, 0])
+        write_sequence(tmp_path / "a", frames)
+        labels = np.frombuffer((tmp_path / "a" / "labels" / "000001.label").read_bytes(), dtype="<u4")
+        assert labels[[0, -1]].tolist() == [0xFFFF0000, 0x0000FFFF]
+        loaded = load_sequence(tmp_path / "a")
+        assert loaded[1].labeled.semantic[[0, -1]].tolist() == [0, 65535]
+        assert loaded[1].labeled.instance[[0, -1]].tolist() == [65535, 0]
+        write_sequence(tmp_path / "b", loaded)
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
 class TestFormatErrors:

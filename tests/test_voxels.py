@@ -6,6 +6,7 @@ with the implementation beyond the kernel layout convention.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -36,19 +37,30 @@ def identity_kernel(width: int) -> np.ndarray:
     return kernel
 
 
+def group_mean(rows) -> np.ndarray:
+    """Mean of one voxel's feature rows, added in the order pooling adds them.
+
+    ``np.add.reduceat`` adds a group's first row to the left-to-right sum of
+    the others; numpy sums a run of 8 or more pairwise, so groups stay small
+    here. Given the rows in input order, this reproduces the pooled bits.
+    """
+    assert len(rows) <= 8
+    total = rows[0]
+    if len(rows) > 1:
+        rest = rows[1]
+        for row in rows[2:]:
+            rest = rest + row
+        total = total + rest
+    return total / len(rows)
+
+
 def voxelize_oracle(xyz, feats, size, origin):
-    """Hash-based mean pooling, one point at a time."""
-    sums: dict[tuple, np.ndarray] = {}
-    counts: dict[tuple, int] = {}
+    """Hash-based mean pooling, one point at a time, rows kept in input order."""
+    groups: dict[tuple, list] = {}
     for p, f in zip(xyz, feats):
         key = tuple(int(np.floor((p[a] - origin[a]) / size)) for a in range(3))
-        if key in sums:
-            sums[key] += f
-            counts[key] += 1
-        else:
-            sums[key] = f.astype(np.float64).copy()
-            counts[key] = 1
-    return {k: sums[k] / counts[k] for k in sums}
+        groups.setdefault(key, []).append(np.asarray(f, dtype=np.float64))
+    return {k: group_mean(rows) for k, rows in groups.items()}
 
 
 def trilinear_oracle(vmap, query):
@@ -119,6 +131,8 @@ class TestVoxelize:
         assert out.coords.tolist() == [[0, 2, 2]]
 
     def test_mean_reduction_matches_hash_oracle(self):
+        # the oracle keeps each voxel's rows in input order and adds them as
+        # the pooling does, so the means agree to the bit
         rng = np.random.default_rng(3)
         xyz = rng.uniform(-4, 4, size=(500, 3))
         feats = rng.normal(size=(500, 5))
@@ -126,7 +140,7 @@ class TestVoxelize:
         want = voxelize_oracle(xyz, feats, 0.8, (0.3, -0.2, 0.1))
         assert got.count == len(want)
         for coord, feat in zip(got.coords.tolist(), got.features):
-            assert np.abs(feat - want[tuple(coord)]).max() < 1e-12
+            assert feat.tobytes() == want[tuple(coord)].tobytes()
 
     def test_coords_ascend_lexicographically(self):
         rng = np.random.default_rng(4)
@@ -145,9 +159,28 @@ class TestVoxelize:
         with pytest.raises(InvalidInputError):
             voxelize(np.zeros((1, 3)), np.ones(1), 0.0)
 
+    def test_rejects_points_that_are_not_n_by_3(self):
+        # (3, 2) must not be read as two 3-D points
+        for xyz in (np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(6), np.zeros((2, 3, 1))):
+            message = f"points must have shape (N, 3), got {xyz.shape}"
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                voxelize(xyz, np.ones(2), 0.1)
+
+    def test_rejects_features_that_are_not_rows(self):
+        with pytest.raises(InvalidInputError, match=r"features shape \(2, 1, 1\) does not match 2 points"):
+            voxelize(np.zeros((2, 3)), np.ones((2, 1, 1)), 0.1)
+
     def test_duplicate_constructor_coords_rejected(self):
         with pytest.raises(InvalidInputError):
             VoxelFeatureMap(0.1, np.zeros(3), np.zeros((2, 3), np.int64), np.ones((2, 1)))
+
+    def test_constructor_rejects_coords_that_are_not_v_by_3(self):
+        coords = np.arange(6).reshape(3, 2)
+        message = "voxel coordinates must have shape (N, 3), got (3, 2)"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            VoxelFeatureMap(0.1, np.zeros(3), coords, np.ones((2, 3)))
+        with pytest.raises(InvalidInputError, match=r"got \(6,\)"):
+            VoxelFeatureMap(0.1, np.zeros(3), coords.ravel(), np.ones((2, 3)))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), k=st.integers(-3, 3))
@@ -188,6 +221,29 @@ class TestDownsample:
     def test_count_never_increases(self, seed):
         vmap = random_map(np.random.default_rng(seed))
         assert downsample(vmap).count <= vmap.count
+
+    def test_pooling_matches_a_hash_oracle_on_shuffled_input(self):
+        # shuffled rows and up to 8 children per parent voxel; the oracle adds
+        # each parent's children in the map's row order, as the pooling does
+        rng = np.random.default_rng(21)
+        coords = np.unique(rng.integers(-5, 6, size=(400, 3)), axis=0)
+        shuffle = rng.permutation(coords.shape[0])
+        vmap = VoxelFeatureMap(0.3, np.zeros(3), coords[shuffle], rng.normal(size=(shuffle.size, 4)))
+        groups: dict[tuple, list] = {}
+        for c, f in zip((vmap.coords // 2).tolist(), vmap.features):
+            groups.setdefault(tuple(c), []).append(f)
+        out = downsample(vmap)
+        assert out.count == len(groups) < vmap.count
+        assert max(map(len, groups.values())) > 2
+        assert [tuple(c) for c in out.coords.tolist()] == sorted(groups)
+        for c, f in zip(out.coords.tolist(), out.features):
+            assert f.tobytes() == group_mean(groups[tuple(c)]).tobytes()
+
+    def test_pooled_overflow_is_rejected(self):
+        # each row is finite, their sum is not
+        vmap = VoxelFeatureMap(1.0, np.zeros(3), np.array([[0, 0, 0], [1, 1, 1]]), np.full((2, 1), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="non-finite"):
+            downsample(vmap)
 
     def test_two_downsamples_quarter_the_grid(self):
         rng = np.random.default_rng(8)
@@ -255,6 +311,11 @@ class TestGatherTrilinear:
         got = gather_trilinear(vmap, queries)
         assert np.abs(got - 1.0).max() < 1e-12
 
+    def test_rejects_queries_that_are_not_n_by_3(self):
+        vmap = random_map(np.random.default_rng(14))
+        with pytest.raises(InvalidInputError, match=r"query points must have shape \(N, 3\), got \(3, 2\)"):
+            gather_trilinear(vmap, np.zeros((3, 2)))
+
     def test_rejects_non_finite_queries(self):
         vmap = VoxelFeatureMap(1.0, np.zeros(3), np.array([[0, 0, 0]]), np.ones((1, 1)))
         with pytest.raises(InvalidInputError):
@@ -268,6 +329,18 @@ class TestFixedKernel:
         out = apply_fixed_kernel(vmap, identity_kernel(4))
         assert np.array_equal(out.coords, vmap.coords)
         assert np.array_equal(out.features, vmap.features)
+
+    def test_output_shares_the_input_coordinates(self):
+        vmap = random_map(np.random.default_rng(19), width=3)
+        out = apply_fixed_kernel(vmap, seeded_kernel(3, 0))
+        assert out.coords is vmap.coords
+
+    def test_overflowing_sums_are_rejected(self):
+        coords = np.array([[0, 0, 0], [0, 0, 1]])
+        vmap = VoxelFeatureMap(1.0, np.zeros(3), coords, np.full((2, 1), 1e308))
+        kernel = np.ones((3, 3, 3, 1, 1))
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="non-finite"):
+            apply_fixed_kernel(vmap, kernel)
 
     def test_submanifold_keeps_the_coordinate_set(self):
         rng = np.random.default_rng(10)
@@ -328,6 +401,23 @@ class TestIndex:
         want = [table.get(tuple(q), -1) for q in queries.tolist()]
         assert vmap.rows(queries).tolist() == want
         assert np.array_equal(vmap.rows(vmap.coords), np.arange(vmap.count))
+
+    def test_derived_maps_index_their_own_rows(self):
+        rng = np.random.default_rng(20)
+        xyz = rng.uniform(-3, 3, size=(600, 3))
+        fine = voxelize(xyz, rng.normal(size=(600, 2)), 0.5)
+        coarse = downsample(fine)
+        kernels = [apply_fixed_kernel(m, seeded_kernel(2, k)) for k, m in enumerate((fine, coarse))]
+        for vmap in (fine, coarse, *kernels):
+            table = {c: i for i, c in enumerate(map(tuple, vmap.coords.tolist()))}
+            queries = np.concatenate([vmap.coords, rng.integers(-9, 10, size=(400, 3))])
+            want = [table.get(tuple(q), -1) for q in queries.tolist()]
+            assert vmap.rows(queries).tolist() == want
+
+    def test_rows_rejects_coords_that_are_not_m_by_3(self):
+        vmap = random_map(np.random.default_rng(22))
+        with pytest.raises(InvalidInputError, match=r"got \(3, 2\)"):
+            vmap.rows(np.zeros((3, 2), np.int64))
 
     def test_empty_map_misses_everything(self):
         vmap = VoxelFeatureMap(0.5, np.zeros(3), np.zeros((0, 3), np.int64), np.zeros((0, 2)))
@@ -421,6 +511,17 @@ class TestSerialization:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_voxel_maps(tmp_path / "nope.npz")
+
+    def test_coords_that_are_not_v_by_3_are_a_format_error(self, tmp_path):
+        # a (3, 2) coordinate array once loaded as the voxels [0, 1, 2] and [3, 4, 5]
+        path = tmp_path / "maps.npz"
+        np.savez(path, map_count=np.array(1), scale0_coords=np.arange(6).reshape(3, 2),
+                 scale0_features=np.ones((2, 3)), scale0_meta=np.array([0.5, 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(FormatError) as info:
+            load_voxel_maps(path)
+        assert str(info.value) == (
+            f"{path}: not a voxel map archive (voxel coordinates must have shape (N, 3), got (3, 2))"
+        )
 
     @pytest.mark.parametrize("key, value, reason", [
         ("map_count", np.array(0), "map_count is 0)"),
