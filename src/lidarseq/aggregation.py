@@ -288,7 +288,7 @@ def _aggregate(
     sizes = [frame.count if rows is None else rows.shape[0] for frame, _, rows, _ in picks]
     starts = np.cumsum([0] + sizes).tolist()
     n = starts[-1]
-    outs = (np.empty((n, 3)), np.empty(n), *(np.empty(n, np.int64) for _ in range(4)))
+    outs = (np.empty((3, n)).T, np.empty(n), *(np.empty(n, np.int64) for _ in range(4)))
     parts = [(slice(start, stop), *pick) for pick, start, stop in zip(picks, starts, starts[1:])]
     failed = []
 
@@ -302,13 +302,14 @@ def _aggregate(
     helper.start()
     try:
         for part, frame, pose, rows, _ in parts:
-            xyz = frame.labeled.cloud.xyz
-            if rows is not None:  # mode="clip" takes straight into out; "raise" would buffer
-                xyz = np.take(xyz, rows, axis=0, out=outs[0][part], mode="clip")
+            xyz, dst = frame.labeled.cloud.xyz, outs[0][part]
+            if rows is not None:  # per axis into a contiguous row; mode="raise" would buffer it
+                for src_axis, dst_axis in zip(xyz.T, dst.T):
+                    np.take(src_axis, rows, out=dst_axis, mode="clip")
             if pose is None:  # the present sweep, as it is
-                outs[0][part] = xyz
+                dst[...] = xyz
             else:  # moved straight into its slice, in place after np.take
-                pose.apply(xyz, out=outs[0][part])
+                pose.apply(xyz if rows is None else dst, out=dst)
     finally:
         helper.join()
     if failed:

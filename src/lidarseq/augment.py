@@ -61,7 +61,8 @@ class InstanceTrack:
             raise InvalidInputError("duplicate frame in track")
         if any(part.count == 0 for part in self.parts):
             raise InvalidInputError("empty temporal part")
-        centroids = np.stack([part.xyz.mean(axis=0) for part in self.parts])
+        # row-major, so numpy sums row after row; it sums column-stored axes pairwise
+        centroids = np.stack([np.ascontiguousarray(part.xyz).mean(axis=0) for part in self.parts])
         centroids.setflags(write=False)
         object.__setattr__(self, "centroids", centroids)
 
@@ -143,7 +144,7 @@ def extract_track(agg: AggregatedCloud, instance_id: int) -> InstanceTrack:
     class_id = int(ids[np.argmax(freq)])
     cloud = agg.labeled.cloud
     picks = [rows[source == frame] for frame in frames_present[::-1]]
-    parts = tuple(PointCloud(cloud.xyz[pick], cloud.intensity[pick]) for pick in picks)
+    parts = tuple(PointCloud(np.take(cloud.xyz.T, pick, axis=1).T, cloud.intensity[pick]) for pick in picks)
     return InstanceTrack(int(instance_id), class_id, tuple(int(f) for f in frames_present[::-1]), parts)
 
 
@@ -262,7 +263,7 @@ def apply_switch(
 
     old_state = classify_motion(track_old, threshold)
     new_state = classify_motion(track_new, threshold)
-    xyz = agg.labeled.cloud.xyz.copy()
+    xyz = agg.labeled.cloud.xyz.copy(order="K")  # stays column-stored
     semantic = agg.labeled.semantic.copy()
     rows = np.flatnonzero(agg.labeled.instance == track_old.instance_id)
     source = agg.source_frame[rows]

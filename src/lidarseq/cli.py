@@ -105,7 +105,7 @@ def _corrupted_past(frames, t: int, rate: float, seed: int):
 def _save_cloud(path, agg: AggregatedCloud) -> None:
     np.savez(
         path,
-        xyz=agg.labeled.cloud.xyz,
+        xyz=np.ascontiguousarray(agg.labeled.cloud.xyz),  # row-major: F order would change the npy bytes
         intensity=agg.labeled.cloud.intensity,
         semantic=agg.labeled.semantic,
         instance=agg.labeled.instance,
@@ -158,6 +158,7 @@ def _cmd_aggregate(args) -> int:
         agg = aggregate_stepped(frames, t, window, args.step)
     else:
         agg = aggregate_fsa(frames, t, division)
+    del frames  # so the row-major copy that --out writes reuses the sweeps' memory
     if args.out:
         _save_cloud(args.out, agg)
     past = int((agg.source_step > 0).sum())
@@ -193,7 +194,7 @@ def _cmd_augment(args) -> int:
         # a frame's rows keep its own point order, so the instance rows align
         moved = frame.labeled.instance == args.instance
         back = relative_pose(frame.pose, present.pose)
-        xyz = frame.labeled.cloud.xyz.copy()
+        xyz = frame.labeled.cloud.xyz.copy(order="K")  # stays column-stored
         semantic = frame.labeled.semantic.copy()
         xyz[moved] = back.apply(switched.labeled.cloud.xyz[rows])
         semantic[moved] = switched.labeled.semantic[rows]

@@ -2,7 +2,8 @@
 
 All geometry runs in double precision. Poses are stored exactly as KITTI
 writes them: a row-major 3x4 block ``[R | t]`` mapping sensor coordinates
-into the parent frame.
+into the parent frame. A cloud's (N, 3) ``xyz`` is the ``.T`` view of a
+C-contiguous (3, N) array, one contiguous row per axis; files stay row-major.
 """
 
 from __future__ import annotations
@@ -82,34 +83,30 @@ class Pose:
     def apply(self, xyz: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Transform an (N, 3) coordinate array into the parent frame.
 
-        Rows go in blocks of ``_APPLY_BLOCK`` (16,384): a block's rows are
-        copied into three contiguous columns, and each axis of the (3, B)
-        result is accumulated in place as ``((r0*x + r1*y) + r2*z) + t``,
-        never a matmul (BLAS sums in a shape-dependent order), so no
-        batching changes a row's bits. The three buffers are one allocation
-        sized by the smaller of N and the block; as three 384 KiB arrays,
-        glibc would hand them back to the OS and fault them in again on
-        every call. A block's results are computed before any is written to
-        ``out`` (new when None; float64 of ``xyz``'s shape), so ``out`` may
-        be ``xyz`` itself.
+        Each axis is a row of ``xyz.T``, read in place, and lands in a row of
+        ``out.T`` (contiguous when column-stored; any layout gives the same
+        bits). Rows go in blocks of ``_APPLY_BLOCK`` (16,384), and each axis of
+        a block's (3, B) result is accumulated as ``((r0*x + r1*y) + r2*z) + t``,
+        never a matmul (BLAS sums in a shape-dependent order), so no batching
+        changes a row's bits. A block is computed in full before it is written
+        to ``out`` (new and column-stored when None; float64 of ``xyz``'s
+        shape), so ``out`` may be ``xyz`` itself.
         """
         xyz = _as_points(xyz)
         if out is None:
-            out = np.empty_like(xyz)
+            out = np.empty((3, xyz.shape[0])).T
         elif out.dtype != np.float64 or out.shape != xyz.shape:
             raise InvalidInputError(f"out must be float64 of shape {xyz.shape}, got {out.dtype} {out.shape}")
-        rot, trans = self.rotation, self.translation[:, None]
-        cols, acc, term = np.empty((3, 3, min(xyz.shape[0], _APPLY_BLOCK)))
+        rot, trans, src, dst = self.rotation, self.translation[:, None], xyz.T, out.T
+        acc, term = np.empty((2, 3, min(xyz.shape[0], _APPLY_BLOCK)))  # one allocation: glibc reuses it
         for lo in range(0, xyz.shape[0], _APPLY_BLOCK):
-            block = xyz[lo : lo + _APPLY_BLOCK]
-            m = block.shape[0]  # short only for the last block
-            cols, acc, term = cols[:, :m], acc[:, :m], term[:, :m]
-            cols[...] = block.T
-            np.multiply(rot[:, 0:1], cols[0], out=acc)
-            acc += np.multiply(rot[:, 1:2], cols[1], out=term)
-            acc += np.multiply(rot[:, 2:3], cols[2], out=term)
+            x, y, z = src[:, lo : lo + _APPLY_BLOCK]
+            acc, term = acc[:, : x.shape[0]], term[:, : x.shape[0]]  # short only for the last block
+            np.multiply(rot[:, 0:1], x, out=acc)
+            acc += np.multiply(rot[:, 1:2], y, out=term)
+            acc += np.multiply(rot[:, 2:3], z, out=term)
             acc += trans
-            out[lo : lo + m] = acc.T
+            dst[:, lo : lo + x.shape[0]] = acc
         return out
 
 
@@ -136,13 +133,13 @@ def relative_pose(target: Pose, source: Pose) -> Pose:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable point set: (N, 3) coordinates plus per-point intensity."""
+    """Immutable point set: (N, 3) column-stored coordinates plus per-point intensity."""
 
     xyz: np.ndarray
     intensity: np.ndarray
 
     def __post_init__(self):
-        xyz = _as_points(self.xyz).view()  # frozen below; the caller's array stays writable
+        xyz = np.ascontiguousarray(_as_points(self.xyz).T).T  # copies only row-major input; own view
         intensity = np.asarray(self.intensity, dtype=np.float64).reshape(-1)
         if intensity.shape[0] != xyz.shape[0]:
             raise InvalidInputError(

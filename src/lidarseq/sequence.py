@@ -133,9 +133,9 @@ def _decode_points(raw: bytes, path: Path) -> PointCloud:
             f"{path}: size {len(raw)} bytes is not a multiple of "
             f"{POINT_RECORD_BYTES}-byte point records"
         )
-    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
+    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).T.astype(np.float64, order="C")
     try:
-        return PointCloud(data[:, :3], data[:, 3])
+        return PointCloud(data[:3].T, data[3])
     except InvalidInputError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -483,7 +483,7 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> list[SequenceFrame]:
         for rows, vel in moving:
             world[rows] += vel * dt
         pose = _ego_pose(spec.ego, k)
-        sensor = (world - pose.translation) @ pose.rotation
+        sensor = (pose.rotation.T @ (world - pose.translation).T).T  # (w - t) @ R, one gemm into columns
         frames.append(
             SequenceFrame(
                 index=k,
@@ -525,10 +525,16 @@ def _vector(value) -> tuple[float, float, float]:
     return tuple(map(_number, value))
 
 
+def _label_id(value) -> int:
+    if 0 <= _integer(value) < LABEL_FIELD_SIZE:
+        return int(value)
+    raise TypeError(f"must lie in the 16-bit label field [0, {LABEL_FIELD_SIZE - 1}], got {value!r}")
+
+
 def _class_fractions(value) -> dict[int, float]:
     if not isinstance(value, Mapping) or not all(map(_is_whole, value)):
         raise TypeError(f"must map integer class ids to fractions, got {value!r}")
-    return {int(cid): _number(fraction) for cid, fraction in value.items()}
+    return {_label_id(cid): _number(fraction) for cid, fraction in value.items()}
 
 
 def _from_mapping(spec_type, convert: Mapping, what: str):
@@ -578,8 +584,8 @@ def _entries(build, items, what: str, error) -> tuple:
     return tuple(built)
 
 
-_instance = _from_mapping(InstanceSpec, {"class_id": _integer, "points": _integer, "center": _vector,
-                          "size": _vector, "velocity": _vector, "instance_id": _integer}, "instance")
+_instance = _from_mapping(InstanceSpec, {"class_id": _label_id, "points": _integer, "center": _vector,
+                          "size": _vector, "velocity": _vector, "instance_id": _label_id}, "instance")
 _scene_spec = _from_mapping(SyntheticSceneSpec, {
     "frame_count": _integer, "points_per_frame": _integer, "seed": _integer, "extent": _number,
     "classes": _class_fractions,

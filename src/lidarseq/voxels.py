@@ -130,7 +130,12 @@ def voxelize(
     if not (voxel_size > 0):
         raise InvalidInputError(f"voxel_size must be positive, got {voxel_size}")
     origin_arr = np.asarray(origin, dtype=np.float64).reshape(3)
-    coords = np.floor((xyz - origin_arr) / voxel_size).astype(np.int64)
+    coords = np.floor((xyz - origin_arr) / voxel_size)
+    outside = ~((coords >= -(2.0**63)) & (coords < 2.0**63)).all(axis=1)  # the int64 cast would wrap
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise InvalidInputError(f"point {i} {xyz[i].tolist()} lies outside the int64 voxel range")
+    coords = coords.astype(np.int64)  # rebound, so the float coordinates are freed before the build
     return _build(voxel_size, origin_arr, coords, features, 0, pool=True)
 
 

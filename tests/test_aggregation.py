@@ -539,6 +539,7 @@ class TestOutputsFromCheckedFrames:
         else:
             agg = aggregate_fsa(frames, 9, division_preset(strategy, window=8))
         assert agg.count > frames[9].count
+        assert agg.labeled.cloud.xyz.T.flags.c_contiguous  # column-stored, like its frames
         cloud = PointCloud(agg.labeled.cloud.xyz, agg.labeled.cloud.intensity)
         labeled = LabeledCloud(cloud, agg.labeled.semantic, agg.labeled.instance)
         checked = AggregatedCloud(labeled, agg.source_frame, agg.source_step, agg.reference_frame)

@@ -355,6 +355,7 @@ class TestApplySwitch:
         columns = (labeled.cloud.xyz, labeled.cloud.intensity, labeled.semantic, labeled.instance,
                    switched.source_frame, switched.source_step)
         assert not any(column.flags.writeable for column in columns)
+        assert labeled.cloud.xyz.T.flags.c_contiguous  # the copy stays column-stored
         checked = AggregatedCloud(
             LabeledCloud(PointCloud(*columns[:2]), *columns[2:4]), *columns[4:], switched.reference_frame
         )

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -191,19 +192,25 @@ class TestSynth:
 
 
     def test_label_ids_outside_16_bits_are_data_errors(self, tmp_path, capsys):
-        # written as 4464 and 65533 before the label field was checked
+        # the 16-bit fields would wrap them to 4464 and 65533; the spec is
+        # rejected where it is read, naming the file and the key
+        field = "must lie in the 16-bit label field [0, 65535], got"
+        instance = SPEC["instances"][0]
         cases = {
-            "class": ({**SPEC, "classes": {70000: 0.6, 252: 0.4}}, "semantic id 70000"),
-            "negative": ({**SPEC, "classes": {-3: 0.6, 252: 0.4}}, "semantic id -3"),
-            "instance": ({**SPEC, "instances": [{**SPEC["instances"][0], "instance_id": 70000}]},
-                         "instance id 70000"),
+            "class": ({**SPEC, "classes": {70000: 0.6, 252: 0.4}}, f"classes {field} 70000"),
+            "negative": ({**SPEC, "classes": {-3: 0.6, 252: 0.4}}, f"classes {field} -3"),
+            "instance": ({**SPEC, "instances": [{**instance, "instance_id": 70000}]},
+                         f"instance 0: instance_id {field} 70000"),
+            "instance_class": ({**SPEC, "instances": [{**instance, "class_id": 65536}]},
+                               f"instance 0: class_id {field} 65536"),
         }
         for name, (mapping, message) in cases.items():
             path = tmp_path / f"{name}.yaml"
             path.write_text(yaml.safe_dump(mapping))
-            assert main(["synth", str(path), "--out", str(tmp_path / name)]) == 2
-            assert capsys.readouterr().err.startswith(f"error: frame 0: {message} lies outside")
-            assert not (tmp_path / name).exists()
+            out = tmp_path / name
+            assert main(["synth", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+            assert not out.exists()  # so no velodyne/ file either
 
     def test_default_camera_matches_write_sequence(self, seq_dir, spec_path, tmp_path):
         # SPEC has no camera key, and write_sequence without a calibration
@@ -233,6 +240,10 @@ class TestAggregate:
         assert np.array_equal(dump["source_frame"], want.source_frame)
         assert np.array_equal(dump["source_step"], want.source_step)
         assert int(dump["reference_frame"]) == 5
+        # column-stored in memory, row-major on disk
+        with zipfile.ZipFile(out) as archive, archive.open("xyz.npy") as member:
+            assert np.lib.format.read_magic(member) == (1, 0)
+            assert np.lib.format.read_array_header_1_0(member)[1] is False  # fortran_order
 
     def test_label_corruption_spares_the_present_frame(self, seq_dir, tmp_path):
         out_a = tmp_path / "a.npz"

@@ -160,6 +160,19 @@ class TestPoseApplyBlocks:
         assert pose.apply(moved, out=moved) is moved
         assert moved.tobytes() == pose.apply(xyz).tobytes()
 
+    @pytest.mark.parametrize("layout", ["row-major", "column-stored"])
+    def test_layouts_and_outputs_give_the_same_bits(self, pose_and_points, layout):
+        pose, rows = pose_and_points
+        want = pose.apply(rows).tobytes()  # tobytes reads row-major whatever the layout
+        xyz = rows if layout == "row-major" else np.ascontiguousarray(rows.T).T
+        new = pose.apply(xyz)
+        assert new.tobytes() == want and new.T.flags.c_contiguous  # a new output is column-stored
+        for fresh in (np.empty((3, xyz.shape[0])).T, np.empty(xyz.shape)):
+            assert pose.apply(xyz, out=fresh) is fresh and fresh.tobytes() == want
+        moved = xyz.copy(order="K")
+        assert pose.apply(moved, out=moved) is moved and moved.tobytes() == want
+        assert moved.flags.f_contiguous == (layout == "column-stored")
+
     def test_zero_rows(self):
         moved = random_pose(np.random.default_rng(2)).apply(np.empty((0, 3)))
         assert moved.shape == (0, 3) and moved.dtype == np.float64
@@ -209,6 +222,15 @@ class TestPointContainers:
         cloud = PointCloud(np.zeros((3, 3)), np.zeros(3))
         with pytest.raises(InvalidInputError):
             LabeledCloud(cloud, np.zeros(2, np.int64), np.zeros(3, np.int64))
+
+    def test_cloud_stores_columns_copying_only_row_major_input(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        cloud = PointCloud(rows, np.zeros(4))
+        assert cloud.xyz.T.flags.c_contiguous and np.array_equal(cloud.xyz, rows)
+        assert not np.shares_memory(cloud.xyz, rows)
+        columns = np.ascontiguousarray(rows.T).T
+        assert np.shares_memory(PointCloud(columns, np.zeros(4)).xyz, columns)
+        assert columns.flags.writeable  # frozen as a view of its own
 
     def test_arrays_are_frozen(self):
         xyz = np.zeros((2, 3))

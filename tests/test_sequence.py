@@ -105,6 +105,12 @@ class TestRoundTrip:
             assert np.array_equal(one.labeled.cloud.xyz, two.labeled.cloud.xyz)
             assert np.array_equal(one.pose.matrix, two.pose.matrix)
 
+    def test_clouds_are_column_stored(self, tmp_path):
+        frames = generate_synthetic(demo_spec())
+        write_sequence(tmp_path / "seq", frames)
+        for frame in [*frames, *load_sequence(tmp_path / "seq")]:
+            assert frame.labeled.cloud.xyz.T.flags.c_contiguous
+
     def test_calib_round_trip(self, tmp_path):
         frames = generate_synthetic(demo_spec())
         calib = default_camera_calib(128, 96)

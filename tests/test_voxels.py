@@ -159,6 +159,18 @@ class TestVoxelize:
         with pytest.raises(InvalidInputError):
             voxelize(np.zeros((1, 3)), np.ones(1), 0.0)
 
+    def test_rejects_points_past_the_int64_voxel_range(self):
+        # an unchecked int64 cast wraps both into one voxel at x = -2**63
+        message = "point 0 [1e+300, 0.0, 0.0] lies outside the int64 voxel range"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            voxelize([[1e300, 0, 0], [1e299, 0, 0]], [1.0, 2.0], 0.1)
+        with pytest.raises(InvalidInputError, match=re.escape("point 1 [0.0, -1e+20, 0.0] lies outside")):
+            voxelize([[0, 0, 0], [0, -1e20, 0]], [1.0, 2.0], 0.1)
+        # the range is [-2**63, 2**63)
+        assert voxelize([[-(2.0**63), 0, 0]], [1.0], 1.0).coords.tolist() == [[-(2**63), 0, 0]]
+        with pytest.raises(InvalidInputError, match="point 0 "):
+            voxelize([[2.0**63, 0, 0]], [1.0], 1.0)
+
     def test_rejects_points_that_are_not_n_by_3(self):
         # (3, 2) must not be read as two 3-D points
         for xyz in (np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(6), np.zeros((2, 3, 1))):
