@@ -28,7 +28,7 @@ from .augment import (
     static_to_moving,
 )
 from .bench import BenchReport, BenchRow, run_bench
-from .distill import SharedVoxelSelection, distill_loss, shared_selection, total_loss
+from .distill import SharedVoxelSelection, distill_loss, shared_selection
 from .errors import (
     ConfigurationError,
     FormatError,
@@ -53,7 +53,6 @@ from .imaging import (
     fuse_to_voxels,
     lift_features,
     load_camera_calib,
-    project_labels_to_image,
     project_to_image,
     read_image,
     temporal_multimodal_gather,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import shutil
 import sys
 from pathlib import Path
@@ -23,16 +24,16 @@ from .errors import ConfigurationError, InvalidInputError, LidarSeqError, UsageE
 from .geometry import LabeledCloud, PointCloud, relative_pose
 from .imaging import (
     _IMAGE_SUFFIXES,
+    _write_synthetic_image,
     aggregate_image_features,
     fuse_to_voxels,
     load_camera_calib,
     read_image,
-    synthetic_feature_image,
-    write_image,
 )
 from .sequence import (
+    _synthetic_frames,
+    _write_frames,
     corrupt_labels,
-    generate_synthetic,
     load_scene_spec,
     load_sequence,
     sequence_length,
@@ -123,21 +124,16 @@ def _cmd_synth(args) -> int:
     spec = load_scene_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    frames = generate_synthetic(spec)
-    out = Path(args.out)
-    calib = spec.camera.calib()
-    write_sequence(out, frames, calib)
-    indices, total = [f.index for f in frames], sum(f.count for f in frames)
-    # Dropped before the images, so the image loop reuses the frames' memory.
-    # Above them, freeing each image could trim the heap top and fault it in
-    # again for the next (about 80k page faults in a 100 x 40k-point synth).
-    del frames
+    out, calib = Path(args.out), spec.camera.calib()
+    # one coordinate buffer for every frame: each frame is written before the
+    # next is computed into it, so no frame's pages are faulted in anew
+    coords = itertools.repeat(np.empty((3, spec.points_per_frame)), spec.frame_count)
+    _write_frames(out, _synthetic_frames(spec, coords), calib)
     image_dir = out / "image_2"
     image_dir.mkdir(exist_ok=True)
-    for index in indices:
-        image = synthetic_feature_image(calib, index, channels=3, seed=spec.seed)
-        write_image(image_dir / f"{index:06d}.ppm", image)
-    print(f"wrote {len(indices)} frames ({total} points) to {out}")
+    for index in range(spec.frame_count):
+        _write_synthetic_image(image_dir / f"{index:06d}.ppm", calib, index, spec.seed)
+    print(f"wrote {spec.frame_count} frames ({spec.frame_count * spec.points_per_frame} points) to {out}")
     return 0
 
 

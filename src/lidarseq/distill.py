@@ -19,7 +19,6 @@ __all__ = [
     "SharedVoxelSelection",
     "shared_selection",
     "distill_loss",
-    "total_loss",
 ]
 
 
@@ -98,19 +97,3 @@ def distill_loss(
         return float(np.linalg.norm(diff))
     return float(np.mean(np.linalg.norm(diff, axis=1)))
 
-
-def total_loss(
-    lidar: float,
-    kd: float,
-    fusion: float,
-    sup2d: float,
-    sup3d: float,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    gamma: float = 1.0,
-) -> float:
-    """Combined training objective: segmentation plus weighted auxiliary terms.
-
-    The image-branch 2D and 3D supervision terms share one coefficient.
-    """
-    return float(lidar + alpha * kd + beta * fusion + gamma * (sup2d + sup3d))

@@ -46,7 +46,6 @@ DEFAULT_IMAGE_WINDOW = 48
 DEFAULT_Z_MIN = 0.1
 # the image files read_image decodes, in the order a frame's image is looked up
 _IMAGE_SUFFIXES = (".ppm", ".pgm", ".fmap")
-LABEL_IGNORE = -1
 
 
 @dataclass(frozen=True)
@@ -239,25 +238,6 @@ def temporal_multimodal_gather(points, fused: Sequence[VoxelFeatureMap]) -> np.n
     return np.concatenate([gather_trilinear(m, xyz) for m in fused], axis=1)
 
 
-def project_labels_to_image(frame: SequenceFrame, calib: CameraCalib) -> np.ndarray:
-    """Rasterize per-point semantic ids onto the image plane.
-
-    Each in-FOV point writes its label to the nearest pixel; when several
-    points land on one pixel the nearest depth wins. Untouched pixels hold
-    LABEL_IGNORE. Output shape (H, W), int64.
-    """
-    out = np.full((calib.height, calib.width), LABEL_IGNORE, dtype=np.int64)
-    uv, depth, in_fov = project_to_image(frame.labeled.cloud.xyz, calib)
-    if not in_fov.any():
-        return out
-    rows, cols = _nearest_pixels(uv[in_fov], calib.width, calib.height)
-    labels = frame.labeled.semantic[in_fov]
-    # write far-to-near so the nearest point lands last and wins each pixel
-    order = np.argsort(-depth[in_fov], kind="stable")
-    out[rows[order], cols[order]] = labels[order]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # image files
 
@@ -392,18 +372,20 @@ def write_image(path, image: ImageFeatureMap) -> None:
     if suffix == ".ppm":
         if image.channels != 3:
             raise ConfigurationError(f"PPM needs 3 channels, image has {image.channels}")
-        magic = b"P6"
     elif suffix == ".pgm":
         if image.channels != 1:
             raise ConfigurationError(f"PGM needs 1 channel, image has {image.channels}")
-        magic = b"P5"
     else:
         raise ConfigurationError(f"unsupported image suffix {suffix!r}")
     if image.features.min() < 0.0 or image.features.max() > 1.0:
         raise InvalidInputError("PNM images need features in [0, 1]")
-    raw = np.rint(image.features * 255.0).astype(np.uint8)
-    header = f"{magic.decode()} {image.width} {image.height} 255\n".encode()
-    path.write_bytes(header + raw.tobytes())
+    _write_pnm(path, np.rint(image.features * 255.0).astype(np.uint8))
+
+
+def _write_pnm(path: Path, raw: np.ndarray) -> None:
+    """Binary P6 (3 channels) or P5 (1 channel) of an (H, W, C) uint8 array."""
+    height, width, channels = raw.shape
+    path.write_bytes(f"{'P6' if channels == 3 else 'P5'} {width} {height} 255\n".encode() + raw.tobytes())
 
 
 def synthetic_feature_image(
@@ -414,6 +396,16 @@ def synthetic_feature_image(
     Values land exactly on the PPM quantization lattice so writing to .ppm
     and reading back is lossless.
     """
+    return ImageFeatureMap(_feature_draw(calib, frame_index, channels, seed).astype(np.float64) / 255.0)
+
+
+def _feature_draw(calib: CameraCalib, frame_index: int, channels: int, seed: int) -> np.ndarray:
+    """The int64 (H, W, C) draw in [0, 255] behind ``synthetic_feature_image``."""
     rng = np.random.default_rng((seed, frame_index))
-    raw = rng.integers(0, 256, size=(calib.height, calib.width, channels))
-    return ImageFeatureMap(raw.astype(np.float64) / 255.0)
+    return rng.integers(0, 256, size=(calib.height, calib.width, channels))
+
+
+def _write_synthetic_image(path, calib: CameraCalib, frame_index: int, seed: int) -> None:
+    """Write the .ppm that ``write_image(path, synthetic_feature_image(calib,
+    frame_index, 3, seed))`` writes, straight from the integer draw."""
+    _write_pnm(Path(path), _feature_draw(calib, frame_index, 3, seed).astype(np.uint8))

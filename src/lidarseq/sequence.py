@@ -23,7 +23,7 @@ import numbers
 import operator
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -238,6 +238,11 @@ class CameraSpec:  # holds the one default camera size
     width: int = 64
     height: int = 48
 
+    def __post_init__(self):
+        for key in ("width", "height"):
+            if getattr(self, key) < 1:
+                raise InvalidSpecError(f"camera {key} must be positive, got {getattr(self, key)}")
+
     def calib(self) -> CameraCalib:
         return default_camera_calib(self.width, self.height)
 
@@ -273,16 +278,19 @@ def write_sequence(seq_dir, frames: Sequence[SequenceFrame], calib: CameraCalib 
                     f"frame {frame.index}: {name} id {lo if lo < 0 else hi} lies outside "
                     f"the 16-bit label field [0, {LABEL_FIELD_SIZE - 1}]"
                 )
-    seq_dir = Path(seq_dir)
+    _write_frames(Path(seq_dir), ordered, default_camera_calib() if calib is None else calib)
+
+
+def _write_frames(seq_dir: Path, frames: Iterable[SequenceFrame], calib: CameraCalib) -> None:
+    """Write each frame as it comes, as file index 0, 1, ...; then poses.txt,
+    times.txt and calib.txt. The frames' label ids must fit 16 bits."""
     (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
     (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
-    if calib is None:
-        calib = default_camera_calib()
     tr = calib.extrinsic
 
     pose_lines = []
     time_lines = []
-    for slot, frame in enumerate(ordered):
+    for slot, frame in enumerate(frames):
         stem = f"{slot:06d}"
         cloud = frame.labeled.cloud
         data = np.empty((cloud.count, 4), dtype="<f4")
@@ -417,8 +425,12 @@ def _ego_pose(ego: EgoSpec, frame: int) -> Pose:
     return Pose.from_rotation_translation(rot, trans)
 
 
-def generate_synthetic(spec: SyntheticSceneSpec) -> list[SequenceFrame]:
-    """Render the spec into frames (sensor coordinates + LiDAR-to-world poses)."""
+def _synthetic_frames(spec: SyntheticSceneSpec, coords: Iterable[np.ndarray]) -> Iterator[SequenceFrame]:
+    """The spec's frames one at a time. ``coords`` gives one C-contiguous
+    (3, points_per_frame) array per frame, and frame k's coordinates are
+    computed into the k-th; a caller that is done with each frame before
+    asking for the next may give the same array every time. All random
+    numbers are drawn before the first frame."""
     rng = np.random.default_rng(spec.seed)
     quotas = class_point_quotas(spec.classes, spec.points_per_frame)
     instance_budget: dict[int, int] = {}
@@ -475,24 +487,30 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> list[SequenceFrame]:
         semantic = np.zeros(0, dtype=np.int64)
         instance = np.zeros(0, dtype=np.int64)
     intensity = rng.random(world0.shape[0])
+    del world_chunks, sem_chunks, inst_chunks  # the generator lives on: hold one copy of the world
 
-    frames = []
-    for k in range(spec.frame_count):
-        world = world0.copy()
+    for k, dst in enumerate(coords):
         dt = k * FRAME_PERIOD_S
-        for rows, vel in moving:
-            world[rows] += vel * dt
         pose = _ego_pose(spec.ego, k)
-        sensor = (pose.rotation.T @ (world - pose.translation).T).T  # (w - t) @ R, one gemm into columns
-        frames.append(
-            SequenceFrame(
-                index=k,
-                labeled=LabeledCloud(PointCloud(sensor, intensity), semantic, instance),
-                pose=pose,
-                timestamp=k * FRAME_PERIOD_S,
-            )
+        rel = world0 - pose.translation
+        for rows, vel in moving:  # (world0 + offset) - t, rounded in that order, as the pinned bytes are
+            rel[rows] = (world0[rows] + vel * dt) - pose.translation
+        np.matmul(pose.rotation.T, rel.T, out=dst)  # (w - t) @ R, one gemm into the frame's rows
+        yield SequenceFrame(
+            index=k,
+            labeled=LabeledCloud(PointCloud(dst.T, intensity), semantic, instance),
+            pose=pose,
+            timestamp=dt,
         )
-    return frames
+
+
+def generate_synthetic(spec: SyntheticSceneSpec) -> list[SequenceFrame]:
+    """Render the spec into frames (sensor coordinates + LiDAR-to-world poses).
+
+    Every frame's coordinates are one (3, N) row of a single (frames, 3, N)
+    block, so keeping any one frame keeps the whole block alive.
+    """
+    return list(_synthetic_frames(spec, np.empty((spec.frame_count, 3, spec.points_per_frame))))
 
 
 def _is_whole(value) -> bool:

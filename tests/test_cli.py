@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -211,6 +212,62 @@ class TestSynth:
             assert main(["synth", str(path), "--out", str(out)]) == 2
             assert capsys.readouterr().err == f"error: {path}: {message}\n"
             assert not out.exists()  # so no velodyne/ file either
+
+    def test_camera_size_must_be_positive(self, tmp_path, capsys):
+        cases = {
+            "width": ({**SPEC, "camera": {"width": 0}}, "camera width must be positive, got 0"),
+            "height": ({**SPEC, "camera": {"width": 32, "height": -4}},
+                       "camera height must be positive, got -4"),
+        }
+        for name, (mapping, message) in cases.items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(mapping))
+            out = tmp_path / name
+            assert main(["synth", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+            assert not out.exists()
+
+    def test_output_equals_the_library_path(self, tmp_path):
+        # frame-by-frame synth writes the bytes of generate_synthetic, then
+        # write_sequence, then write_image of each synthetic_feature_image
+        mapping = {**SPEC, "camera": {"width": 40, "height": 30}}
+        path = tmp_path / "scene.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        assert main(["synth", str(path), "--out", str(tmp_path / "cli")]) == 0
+        spec = scene_spec_from_mapping(mapping)
+        calib = spec.camera.calib()
+        library = tmp_path / "library"
+        write_sequence(library, generate_synthetic(spec), calib)
+        (library / "image_2").mkdir()
+        for index in range(spec.frame_count):
+            image = imaging.synthetic_feature_image(calib, index, 3, spec.seed)
+            imaging.write_image(library / "image_2" / f"{index:06d}.ppm", image)
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        got, want = tree(tmp_path / "cli"), tree(library)
+        assert len(want) == 3 + 3 * spec.frame_count
+        assert got == want
+
+    def test_peak_memory_does_not_grow_with_frame_count(self, tmp_path):
+        # a memory bound, not a timing: synth holds about one frame at a time
+        points = 5_000
+
+        def peak(frames: int) -> int:
+            path = tmp_path / f"scene{frames}.yaml"
+            path.write_text(yaml.safe_dump({**SPEC, "frame_count": frames, "points_per_frame": points}))
+            tracemalloc.start()
+            try:
+                assert main(["synth", str(path), "--out", str(tmp_path / f"out{frames}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm-up: the first call's imports and caches are not frames
+        small, large = peak(16), peak(64)
+        frame_coords = points * 3 * 8
+        assert large < small + 2 * frame_coords, (small, large)
 
     def test_default_camera_matches_write_sequence(self, seq_dir, spec_path, tmp_path):
         # SPEC has no camera key, and write_sequence without a calibration

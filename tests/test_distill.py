@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lidarseq.distill import distill_loss, shared_selection, total_loss
+from lidarseq.distill import distill_loss, shared_selection
 from lidarseq.errors import ConfigurationError
 from lidarseq.voxels import VoxelFeatureMap
 
@@ -194,12 +194,3 @@ class TestDistillLoss:
         for _ in range(30):
             a, b = random_pair(rng)
             assert distill_loss(a, b) >= 0.0
-
-
-class TestTotalLoss:
-    def test_unit_coefficients_sum_everything(self):
-        assert total_loss(1.0, 2.0, 3.0, 4.0, 5.0) == 15.0
-
-    def test_coefficients_weight_their_terms(self):
-        got = total_loss(1.0, 2.0, 3.0, 4.0, 5.0, alpha=0.5, beta=2.0, gamma=0.0)
-        assert got == 1.0 + 0.5 * 2.0 + 2.0 * 3.0

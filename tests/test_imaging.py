@@ -18,7 +18,6 @@ from lidarseq.imaging import (
     fuse_to_voxels,
     lift_features,
     peek_image_size,
-    project_labels_to_image,
     project_to_image,
     read_image,
     synthetic_feature_image,
@@ -327,54 +326,6 @@ class TestTemporalMultimodalGather:
             temporal_multimodal_gather(np.zeros((1, 3)), [a, b])
         with pytest.raises(ConfigurationError):
             temporal_multimodal_gather(np.zeros((1, 3)), [])
-
-
-class TestProjectLabels:
-    def make_frame(self, xyz, semantic):
-        from lidarseq.sequence import SequenceFrame
-        from lidarseq.geometry import Pose, LabeledCloud, PointCloud
-
-        cloud = PointCloud(np.asarray(xyz, dtype=np.float64), np.full(len(xyz), 0.5))
-        labeled = LabeledCloud(cloud, np.asarray(semantic), np.zeros(len(xyz), dtype=np.int64))
-        return SequenceFrame(0, labeled, Pose.identity(), 0.0)
-
-    def test_no_fov_points_gives_all_ignore(self):
-        frame = self.make_frame([[-5.0, 0.0, 0.0]], [40])
-        out = project_labels_to_image(frame, CALIB)
-        assert out.shape == (CALIB.height, CALIB.width)
-        assert np.all(out == -1)
-
-    def test_single_point_labels_one_pixel(self):
-        frame = self.make_frame([[5.0, 0.0, 0.0]], [48])
-        out = project_labels_to_image(frame, CALIB)
-        assert (out != -1).sum() == 1
-        assert out[int(round(CALIB.cy)), int(round(CALIB.cx))] == 48
-
-    def test_nearest_depth_wins_the_pixel(self):
-        frame = self.make_frame([[10.0, 0.0, 0.0], [5.0, 0.0, 0.0]], [70, 48])
-        out = project_labels_to_image(frame, CALIB)
-        assert out[int(round(CALIB.cy)), int(round(CALIB.cx))] == 48
-
-    def test_matches_depth_sort_oracle(self):
-        rng = np.random.default_rng(8)
-        xyz = rng.uniform([1, -4, -3], [25, 4, 3], size=(300, 3))
-        semantic = rng.integers(10, 90, size=300)
-        frame = self.make_frame(xyz, semantic)
-        got = project_labels_to_image(frame, CALIB)
-        best: dict[tuple[int, int], tuple[float, int]] = {}
-        for (u, v, z, ok), label in zip(project_oracle(xyz, CALIB), semantic):
-            if not ok:
-                continue
-            key = (
-                int(np.clip(np.rint(v), 0, CALIB.height - 1)),
-                int(np.clip(np.rint(u), 0, CALIB.width - 1)),
-            )
-            if key not in best or z < best[key][0]:
-                best[key] = (z, int(label))
-        want = np.full((CALIB.height, CALIB.width), -1, dtype=np.int64)
-        for (r, c), (_, label) in best.items():
-            want[r, c] = label
-        assert np.array_equal(got, want)
 
 
 class TestImageFiles:
