@@ -150,6 +150,42 @@ class TestLift:
         assert np.array_equal(lifted.features[:, 0], want_u)
         assert np.array_equal(lifted.features[:, 1], want_v)
 
+    def make_frame(self, xyz):
+        from lidarseq.sequence import SequenceFrame
+        from lidarseq.geometry import Pose, LabeledCloud, PointCloud
+
+        xyz = np.asarray(xyz, dtype=np.float64)
+        cloud = PointCloud(xyz, np.full(len(xyz), 0.5))
+        labeled = LabeledCloud(cloud, np.full(len(xyz), 40), np.zeros(len(xyz), dtype=np.int64))
+        return SequenceFrame(0, labeled, Pose.identity(), 0.0)
+
+    def test_optical_axis_point_reads_the_principal_pixel(self):
+        feats = np.zeros((CALIB.height, CALIB.width, 1))
+        row, col = int(round(CALIB.cy)), int(round(CALIB.cx))
+        feats[row, col, 0] = 0.5
+        lifted = lift_features(self.make_frame([[5.0, 0.0, 0.0]]), ImageFeatureMap(feats), CALIB)
+        assert lifted.count == 1
+        assert lifted.features[0, 0] == 0.5
+
+    def test_matches_scalar_nearest_pixel_oracle(self):
+        # each in-FOV point reads the pixel at its rounded, clamped projection;
+        # the oracle rounds one point at a time from the scalar projection
+        rng = np.random.default_rng(8)
+        xyz = rng.uniform([1, -4, -3], [25, 4, 3], size=(300, 3))
+        image = synthetic_feature_image(CALIB, 0, channels=2, seed=4)
+        lifted = lift_features(self.make_frame(xyz), image, CALIB)
+        want_xyz, want_feats = [], []
+        for p, (u, v, _, ok) in zip(xyz, project_oracle(xyz, CALIB)):
+            if not ok:
+                continue
+            row = min(max(round(v), 0), CALIB.height - 1)
+            col = min(max(round(u), 0), CALIB.width - 1)
+            want_xyz.append(p)
+            want_feats.append(image.features[row, col])
+        assert lifted.count == len(want_xyz) > 0
+        assert np.array_equal(lifted.xyz, np.array(want_xyz))
+        assert np.array_equal(lifted.features, np.array(want_feats))
+
     def test_dimension_mismatch_is_rejected(self):
         frames = make_frames(frame_count=1)
         image = ImageFeatureMap(np.zeros((CALIB.height + 1, CALIB.width, 3)))
@@ -409,6 +445,18 @@ class TestImageFiles:
     def test_pnm_needs_unit_range(self, tmp_path):
         with pytest.raises(InvalidInputError):
             write_image(tmp_path / "x.ppm", ImageFeatureMap(np.full((2, 2, 3), 1.5)))
+
+    def test_synthetic_image_writer_matches_write_image(self, tmp_path):
+        from lidarseq.imaging import _write_synthetic_image
+
+        calib = CameraSpec(width=13, height=7).calib()
+        for index in range(3):
+            want = tmp_path / f"want{index}.ppm"
+            got = tmp_path / f"got{index}.ppm"
+            write_image(want, synthetic_feature_image(calib, index, 3, seed=5))
+            _write_synthetic_image(got, calib, index, seed=5)
+            assert got.read_bytes() == want.read_bytes()
+            assert read_image(got).features.shape == (7, 13, 3)
 
     def test_synthetic_images_are_deterministic(self):
         a = synthetic_feature_image(CALIB, 4, seed=7)
