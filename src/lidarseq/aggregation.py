@@ -376,96 +376,48 @@ DEFAULT_CLASS_SCORES: dict[int, float] = {
 LARGE_SPREAD_CLASSES = frozenset({10, 11, 12, 17})
 
 
-def _banded_groups(scores: Mapping[int, float]) -> tuple[set[int], set[int], set[int]]:
-    easy = {c for c, v in scores.items() if v >= 90.0}
-    mid = {c for c, v in scores.items() if 80.0 <= v < 90.0}
-    hard = set(scores) - easy - mid
-    return easy, mid, hard
-
-
-def _division1(scores, window):
-    easy, mid, hard = _banded_groups(scores)
-    return GroupDivision(
-        (
-            ClassGroup(frozenset(easy), INFINITE_STEP),
-            ClassGroup(frozenset(mid), 4),
-            ClassGroup(frozenset(hard), 2),
-        ),
-        window=window,
-        name="division1",
-    )
-
-
-def _division2(scores, window):
-    ranked = sorted(scores, key=lambda c: (-scores[c], c))
-    return GroupDivision(
-        (
-            ClassGroup(frozenset(ranked[:6]), INFINITE_STEP),
-            ClassGroup(frozenset(ranked[6:12]), 4),
-            ClassGroup(frozenset(ranked[12:]), 2),
-        ),
-        window=window,
-        name="division2",
-    )
-
-
-def _division3(scores, window):
-    easy, mid, hard = _banded_groups(scores)
-    promote = hard & LARGE_SPREAD_CLASSES
-    return GroupDivision(
-        (
-            ClassGroup(frozenset(easy), INFINITE_STEP),
-            ClassGroup(frozenset(mid | promote), 4),
-            ClassGroup(frozenset(hard - promote), 2),
-        ),
-        window=window,
-        name="division3",
-    )
-
-
-def _division4(scores, window):
-    easy, mid, hard = _banded_groups(scores)
-    coarse = (mid | hard) & LARGE_SPREAD_CLASSES
-    return GroupDivision(
-        (
-            ClassGroup(frozenset(easy), INFINITE_STEP),
-            ClassGroup(frozenset(mid - coarse), 4),
-            ClassGroup(frozenset(hard - coarse), 2),
-            ClassGroup(frozenset(coarse), 8),
-        ),
-        window=window,
-        name="division4",
-    )
-
-
-def _division5(scores, window):
-    base = _division3(scores, window)
-    split = DistanceSplit(threshold_m=30.0, near_step_multiplier=2)
-    groups = tuple(
-        group if group.step == INFINITE_STEP else dataclasses.replace(group, distance_split=split)
-        for group in base.groups
-    )
-    return GroupDivision(groups, window=window, name="division5")
-
-
-_PRESET_BUILDERS = {
-    "division1": _division1,
-    "division2": _division2,
-    "division3": _division3,
-    "division4": _division4,
-    "division5": _division5,
-}
-
-DIVISION_PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
+DIVISION_PRESET_NAMES = ("division1", "division2", "division3", "division4", "division5")
 
 
 def division_preset(name: str, window: int = DEFAULT_WINDOW) -> GroupDivision:
-    """Build one of the shipped divisions from ``DEFAULT_CLASS_SCORES``."""
-    if name not in _PRESET_BUILDERS:
+    """Build one of the shipped divisions from ``DEFAULT_CLASS_SCORES``.
+
+    Scores band the classes: easy (90 and up) takes the infinite step, mid
+    (80 to 90) step 4 and hard step 2. division2 ranks the classes instead,
+    six to a group. division3 promotes hard large-spread classes to step 4;
+    division4 gives every large-spread class that is not easy its own step
+    8; division5 is division3 with a 30 m distance split on each finite step.
+    """
+    scores = DEFAULT_CLASS_SCORES
+    ranked = sorted(scores, key=lambda c: (-scores[c], c))
+
+    def band(c):
+        return 0 if scores[c] >= 90.0 else 1 if scores[c] >= 80.0 else 2
+
+    def promoted(c):
+        return 1 if band(c) == 2 and c in LARGE_SPREAD_CLASSES else band(c)
+
+    # each preset: the step of each group, and the group that takes a class
+    table = {
+        "division1": ((INFINITE_STEP, 4, 2), band),
+        "division2": ((INFINITE_STEP, 4, 2), lambda c: min(ranked.index(c) // 6, 2)),
+        "division3": ((INFINITE_STEP, 4, 2), promoted),
+        "division4": ((INFINITE_STEP, 4, 2, 8),
+                      lambda c: 3 if band(c) > 0 and c in LARGE_SPREAD_CLASSES else band(c)),
+        "division5": ((INFINITE_STEP, 4, 2), promoted),
+    }
+    if name not in table:
         raise ConfigurationError(
             f"unknown division {name!r}; valid presets: {', '.join(DIVISION_PRESET_NAMES)}"
         )
-    return _PRESET_BUILDERS[name](DEFAULT_CLASS_SCORES, window)
+    steps, group_of = table[name]
+    members = [[c for c in scores if group_of(c) == g] for g in range(len(steps))]
+    split = DistanceSplit(threshold_m=30.0, near_step_multiplier=2) if name == "division5" else None
+    groups = tuple(
+        ClassGroup(frozenset(classes), step, None if step == INFINITE_STEP else split)
+        for classes, step in zip(members, steps)
+    )
+    return GroupDivision(groups, window=window, name=name)
 
 
 def _parse_step(raw):
@@ -510,7 +462,7 @@ def load_division(path) -> GroupDivision:
 
 def resolve_division(spec: str, window: int | None = None) -> GroupDivision:
     """Accept a preset name or a path to a division file."""
-    if spec in _PRESET_BUILDERS:
+    if spec in DIVISION_PRESET_NAMES:
         division = division_preset(spec)
     elif Path(spec).exists():
         division = load_division(spec)

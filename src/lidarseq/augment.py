@@ -10,7 +10,7 @@ directions are pure translations, so each part keeps its shape exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import ConfigurationError, InvalidInputError, NotAugmentableError
 from .geometry import LabeledCloud, PointCloud, _from_checked
 
 DEFAULT_MOTION_THRESHOLD = 0.2  # meters of centroid travel across the track
-DEFAULT_SPEED_RANGE = (0.2, 1.0)  # meters per frame-step
+SPEED_RANGE = (0.2, 1.0)  # meters per frame-step
 DEFAULT_RING_RADIUS = 3.0
 DEFAULT_COVERAGE_RADIUS = 2.0
 
@@ -106,21 +106,14 @@ class AnchorSet:
         return self.positions.shape[0]
 
 
-def ring_anchors(
-    center,
-    count: int = 8,
-    ring_radius: float = DEFAULT_RING_RADIUS,
-    coverage_radius: float = DEFAULT_COVERAGE_RADIUS,
-) -> AnchorSet:
-    """Anchors on a ground-plane circle around a center point."""
-    if count < 1:
-        raise InvalidInputError("need at least one anchor")
+def ring_anchors(center, ring_radius: float = DEFAULT_RING_RADIUS) -> AnchorSet:
+    """Eight anchors on a ground-plane circle around a center point."""
     center = np.asarray(center, dtype=np.float64)
-    angles = 2.0 * np.pi * np.arange(count) / count
-    positions = np.tile(center, (count, 1))
+    angles = 2.0 * np.pi * np.arange(8) / 8
+    positions = np.tile(center, (8, 1))
     positions[:, 0] += ring_radius * np.cos(angles)
     positions[:, 1] += ring_radius * np.sin(angles)
-    return AnchorSet(positions, coverage_radius)
+    return AnchorSet(positions)
 
 
 def extract_track(agg: AggregatedCloud, instance_id: int) -> InstanceTrack:
@@ -201,7 +194,6 @@ def static_to_moving(
     track: InstanceTrack,
     scene,
     anchors: AnchorSet,
-    speed_range: tuple[float, float] = DEFAULT_SPEED_RANGE,
     seed: int = 0,
     threshold: float = DEFAULT_MOTION_THRESHOLD,
 ) -> InstanceTrack:
@@ -210,27 +202,21 @@ def static_to_moving(
     The whole track first moves so its newest centroid lands on the anchor
     whose coverage cylinder holds the fewest scene points, then part i slides
     a further i * d, where d points along the box's longer horizontal axis
-    with seeded speed and sign. Older parts trail behind the present one, so
-    adjacent centroid offsets all equal d.
+    with a seeded sign and a seeded speed drawn from ``SPEED_RANGE``. Older
+    parts trail behind the present one, so adjacent centroid offsets all
+    equal d.
     """
-    lo, hi = float(speed_range[0]), float(speed_range[1])
-    if not (0.0 < lo <= hi):
-        raise ConfigurationError(f"speed range must satisfy 0 < lo <= hi, got {speed_range!r}")
     if classify_motion(track, threshold) != STATIC:
         raise NotAugmentableError("track is already moving")
     scene_xyz = scene.labeled.cloud.xyz if isinstance(scene, AggregatedCloud) else np.asarray(scene, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    speed = rng.uniform(lo, hi)
+    speed = rng.uniform(*SPEED_RANGE)
     sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
     d = sign * speed * _motion_axis(track)
     anchor = anchors.positions[_fewest_points_anchor(anchors, scene_xyz)]
     base = anchor - track.centroids[0]
     steps = np.arange(track.part_count, dtype=np.float64)[:, None]
     return track.translated(base[None, :] + steps * d[None, :])
-
-
-def _invert_pairs(class_pairs: Mapping[int, int]) -> dict[int, int]:
-    return {moving: static for static, moving in class_pairs.items()}
 
 
 def _remap_class(class_id: int, table: Mapping[int, int], direction: str) -> int:
@@ -245,17 +231,15 @@ def apply_switch(
     agg: AggregatedCloud,
     track_old: InstanceTrack,
     track_new: InstanceTrack,
-    class_pairs: Mapping[int, int] | None = None,
     threshold: float = DEFAULT_MOTION_THRESHOLD,
 ) -> AggregatedCloud:
     """Swap an instance's old temporal parts for switched ones in place.
 
     Only the tracked points move; everything else in the cloud comes back
     bit for bit. When the switch flips the motion state, the moved points'
-    semantic labels cross to the paired static/moving class id.
+    semantic labels cross to the paired static/moving class id of
+    ``DEFAULT_CLASS_PAIRS``.
     """
-    if class_pairs is None:
-        class_pairs = DEFAULT_CLASS_PAIRS
     if track_old.frames != track_new.frames:
         raise InvalidInputError("old and new tracks cover different frames")
     if any(a.count != b.count for a, b in zip(track_old.parts, track_new.parts)):
@@ -276,7 +260,9 @@ def apply_switch(
             )
         xyz[pick] = new_part.xyz
         if old_state != new_state:
-            table = class_pairs if new_state == MOVING else _invert_pairs(class_pairs)
+            table = DEFAULT_CLASS_PAIRS
+            if new_state == STATIC:
+                table = {moving: static for static, moving in table.items()}
             ids = np.unique(semantic[pick])
             remap = {int(c): _remap_class(int(c), table, new_state) for c in ids}
             semantic[pick] = np.vectorize(remap.get, otypes=[np.int64])(semantic[pick])

@@ -1,13 +1,14 @@
 """Point-count, memory-proxy, and latency comparison across strategies.
 
-Memory is reported as count * bytes-per-point rather than resident-set
-sampling: deterministic, portable, and the ratios are what matter. Counts
-are exact; only the millisecond column varies between runs, so machine
-reports can be diffed with timing excluded.
+Memory is reported as count * 16 bytes, the size of a point record on disk,
+rather than resident-set sampling: deterministic, portable, and the ratios
+are what matter. Counts are exact; only the millisecond column varies
+between runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import statistics
 import time
@@ -21,9 +22,8 @@ from .aggregation import (
     aggregate_stepped,
 )
 from .errors import InvalidInputError, UsageError
-from .sequence import SequenceFrame
+from .sequence import POINT_RECORD_BYTES, SequenceFrame
 
-DEFAULT_BYTES_PER_POINT = 16  # float32 x, y, z, intensity; labels add 4
 STRATEGY_FORMS = "direct, stepped:<step>, fsa"
 
 
@@ -40,23 +40,10 @@ class BenchRow:
 @dataclass(frozen=True)
 class BenchReport:
     rows: tuple[BenchRow, ...]
-    bytes_per_point: int = DEFAULT_BYTES_PER_POINT
 
-    def to_machine(self, timing: bool = True) -> str:
-        """One JSON object per line, keys sorted; drop timing to diff runs."""
-        lines = []
-        for row in self.rows:
-            record = {
-                "strategy": row.strategy,
-                "window": row.window,
-                "division": row.division,
-                "points": row.points,
-                "bytes": row.bytes,
-            }
-            if timing:
-                record["millis"] = row.millis
-            lines.append(json.dumps(record, sort_keys=True))
-        return "\n".join(lines) + "\n"
+    def to_machine(self) -> str:
+        """One JSON object per line, keys sorted."""
+        return "".join(json.dumps(dataclasses.asdict(row), sort_keys=True) + "\n" for row in self.rows)
 
     def to_table(self) -> str:
         header = f"{'strategy':<14} {'window':>6} {'division':<12} {'points':>10} {'bytes':>12} {'millis':>9}"
@@ -94,7 +81,6 @@ def run_bench(
     windows: Sequence[int] = (16,),
     division: GroupDivision | None = None,
     repeats: int = 3,
-    bytes_per_point: int = DEFAULT_BYTES_PER_POINT,
 ) -> BenchReport:
     """Aggregate every (strategy, window) over the given frames and time it.
 
@@ -110,8 +96,6 @@ def run_bench(
         raise InvalidInputError("no windows given")
     if repeats < 1:
         raise InvalidInputError(f"repeats must be >= 1, got {repeats}")
-    if bytes_per_point < 1:
-        raise InvalidInputError(f"bytes per point must be >= 1, got {bytes_per_point}")
     parsed = [(spec, *parse_strategy(spec)) for spec in strategies]
     if any(kind == "fsa" for _, kind, _ in parsed) and division is None:
         raise UsageError("the fsa strategy needs a division")
@@ -141,8 +125,8 @@ def run_bench(
                     window=int(window),
                     division=division.name if kind == "fsa" and division else "-",
                     points=points,
-                    bytes=points * bytes_per_point,
+                    bytes=points * POINT_RECORD_BYTES,
                     millis=statistics.median(durations) * 1000.0,
                 )
             )
-    return BenchReport(tuple(rows), bytes_per_point)
+    return BenchReport(tuple(rows))

@@ -21,7 +21,7 @@ from .aggregation import AggregatedCloud, aggregate_direct, aggregate_fsa, aggre
 from .augment import apply_switch, classify_motion, extract_track, moving_to_static, ring_anchors, static_to_moving
 from .distill import distill_loss
 from .errors import ConfigurationError, InvalidInputError, LidarSeqError, UsageError
-from .geometry import LabeledCloud, PointCloud, relative_pose
+from .geometry import LabeledCloud, PointCloud, Pose, relative_pose
 from .imaging import (
     _IMAGE_SUFFIXES,
     _write_synthetic_image,
@@ -31,9 +31,11 @@ from .imaging import (
     read_image,
 )
 from .sequence import (
+    _parse_calib,
     _synthetic_frames,
     _write_frames,
     corrupt_labels,
+    default_camera_calib,
     load_scene_spec,
     load_sequence,
     sequence_length,
@@ -199,10 +201,11 @@ def _cmd_augment(args) -> int:
         )
         out_frames.append(dataclasses.replace(frame, labeled=labeled))
     source, out = Path(args.sequence), Path(args.out)
-    # the source's own calib.txt, whose Tr reloads every pose bit-identical,
-    # and its images: every frame is written, so file indices stay the same
+    # poses.txt rows beside the source's Tr, then its own calib.txt and
+    # images: every frame is written, so file indices stay the same
     calib_text = (source / "calib.txt").read_bytes()
-    write_sequence(out, out_frames)
+    tr = Pose(_parse_calib(source / "calib.txt")["Tr"])
+    write_sequence(out, out_frames, dataclasses.replace(default_camera_calib(), extrinsic=tr))
     (out / "calib.txt").write_bytes(calib_text)
     if (source / "image_2").is_dir() and out.resolve() != source.resolve():
         shutil.copytree(source / "image_2", out / "image_2", dirs_exist_ok=True)
@@ -244,9 +247,7 @@ def _cmd_distill(args) -> int:
         raise ConfigurationError(
             f"student has {len(student)} scales, teacher has {len(teacher)}"
         )
-    losses = [
-        distill_loss(s, t, mode=args.mode) for s, t in zip(student, teacher)
-    ]
+    losses = [distill_loss(s, t) for s, t in zip(student, teacher)]
     for level, value in enumerate(losses):
         print(f"scale_{level} {value!r}")
     print(f"mean {sum(losses) / len(losses)!r}")
@@ -274,7 +275,6 @@ def _cmd_bench(args) -> int:
         windows=windows,
         division=division,
         repeats=args.repeats,
-        bytes_per_point=args.bytes_per_point,
     )
     text = report.to_machine() if args.format == "machine" else report.to_table()
     if args.out:
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distill", help="loss between two voxel-map dumps")
     p.add_argument("--student", required=True, metavar="NPZ")
     p.add_argument("--teacher", required=True, metavar="NPZ")
-    p.add_argument("--mode", choices=("mean", "frobenius"), default="mean")
     p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("bench", help="compare aggregation strategies")
@@ -350,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", default="16", help="comma-separated window sizes")
     p.add_argument("--division", default="division3")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--bytes-per-point", type=int, default=bench.DEFAULT_BYTES_PER_POINT)
     p.add_argument("--format", choices=("table", "machine"), default="table")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)

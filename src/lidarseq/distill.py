@@ -71,29 +71,18 @@ def shared_selection(
     return SharedVoxelSelection(student.coords[rows_s], rows_s, rows_t[rows_s])
 
 
-def distill_loss(
-    student: VoxelFeatureMap,
-    teacher: VoxelFeatureMap,
-    mode: str = "mean",
-) -> float:
-    """L2 feature-matching loss over voxels present in both maps.
-
-    mode "mean" averages the per-voxel Euclidean norm of the feature
-    difference; "frobenius" instead takes the matrix norm of the stacked
-    difference. Either way an empty intersection yields 0.0: heavily
-    diverged aggregations are degenerate, not an error.
+def distill_loss(student: VoxelFeatureMap, teacher: VoxelFeatureMap) -> float:
+    """L2 feature-matching loss over voxels present in both maps: the mean
+    per-voxel Euclidean norm of the feature difference. An empty
+    intersection yields 0.0: heavily diverged aggregations are degenerate,
+    not an error.
     """
     if student.width != teacher.width:
         raise ConfigurationError(
             f"feature width mismatch: {student.width} vs {teacher.width}"
         )
-    if mode not in ("mean", "frobenius"):
-        raise ConfigurationError(f"unknown distillation mode {mode!r}")
     selection = shared_selection(student, teacher)
     if selection.count == 0:
         return 0.0
     diff = student.features[selection.student_index] - teacher.features[selection.teacher_index]
-    if mode == "frobenius":
-        return float(np.linalg.norm(diff))
     return float(np.mean(np.linalg.norm(diff, axis=1)))
-

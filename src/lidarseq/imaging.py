@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregation import AggregatedCloud, _walk
+from .aggregation import _walk
 from .errors import ConfigurationError, FormatError, InvalidInputError
 from .geometry import Pose, _as_points
 from .sequence import CameraCalib, SequenceFrame, _is_whole, _parse_calib
@@ -100,12 +100,6 @@ class PointImageFeatures:
         return self.features.shape[1]
 
 
-def _as_xyz(points) -> np.ndarray:
-    if isinstance(points, AggregatedCloud):
-        return points.labeled.cloud.xyz
-    return _as_points(points)
-
-
 def project_to_image(points, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pinhole projection of LiDAR points into pixel coordinates.
 
@@ -113,7 +107,7 @@ def project_to_image(points, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray
     depth, and the mask of points with depth > DEFAULT_Z_MIN landing inside
     the image bounds. uv rows for out-of-FOV points are zeroed, not meaningful.
     """
-    xyz = _as_xyz(points)
+    xyz = _as_points(points)
     cam = calib.extrinsic.apply(xyz)
     depth = cam[:, 2].copy()
     valid = depth > DEFAULT_Z_MIN
@@ -225,16 +219,16 @@ def fuse_to_voxels(
 def temporal_multimodal_gather(points, fused: Sequence[VoxelFeatureMap]) -> np.ndarray:
     """Per-point image features gathered from every scale and concatenated.
 
-    ``points`` may be an AggregatedCloud or a raw (N, 3) array. Output
-    width is scales x C; a scale with no occupied neighbors around a point
-    contributes zeros there.
+    ``points`` is an (N, 3) array, such as an aggregated cloud's
+    ``labeled.cloud.xyz``. Output width is scales x C; a scale with no
+    occupied neighbors around a point contributes zeros there.
     """
     if not fused:
         raise ConfigurationError("no fused maps given")
     widths = {m.width for m in fused}
     if len(widths) > 1:
         raise ConfigurationError(f"fused maps disagree on feature width: {sorted(widths)}")
-    xyz = _as_xyz(points)
+    xyz = _as_points(points)
     return np.concatenate([gather_trilinear(m, xyz) for m in fused], axis=1)
 
 

@@ -264,8 +264,10 @@ def default_camera_calib(width: int = CameraSpec.width, height: int = CameraSpec
 def write_sequence(seq_dir, frames: Sequence[SequenceFrame], calib: CameraCalib | None = None) -> None:
     """Write frames in SemanticKITTI layout, re-based to file index 0.
 
-    Frames loaded from disk carry their original poses.txt rows and are
-    re-emitted verbatim; in-memory frames get rows derived from their pose.
+    Each poses.txt row is derived from the frame's pose and ``calib``'s Tr;
+    a frame loaded from disk keeps its verbatim row where that row agrees
+    with the derived one (within 1e-9), so a rewrite beside the Tr it was
+    read with reproduces poses.txt byte for byte.
     """
     if not frames:
         raise InvalidInputError("cannot write an empty sequence")
@@ -287,6 +289,7 @@ def _write_frames(seq_dir: Path, frames: Iterable[SequenceFrame], calib: CameraC
     (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
     (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
     tr = calib.extrinsic
+    tr_inv = invert(tr)
 
     pose_lines = []
     time_lines = []
@@ -301,10 +304,10 @@ def _write_frames(seq_dir: Path, frames: Iterable[SequenceFrame], calib: CameraC
         packed = (frame.labeled.semantic | frame.labeled.instance << 16).astype("<u4")
         (seq_dir / "labels" / f"{stem}.label").write_bytes(packed.tobytes())
 
-        if frame.file_pose is not None:
+        # a loaded frame's verbatim row, unless it was read beside another Tr
+        row = compose(compose(tr, frame.pose), tr_inv).matrix
+        if frame.file_pose is not None and np.abs(frame.file_pose - row).max() <= 1e-9:
             row = frame.file_pose
-        else:
-            row = compose(compose(tr, frame.pose), invert(tr)).matrix
         pose_lines.append(_format_matrix(row))
         time_lines.append(repr(float(frame.timestamp)))
 
@@ -372,6 +375,8 @@ class SyntheticSceneSpec:
             raise InvalidSpecError("frame_count must be >= 1")
         if self.points_per_frame < 0:
             raise InvalidSpecError("points_per_frame must be >= 0")
+        if not self.extent >= 0:
+            raise InvalidSpecError(f"extent must be non-negative, got {self.extent}")
         if not self.classes:
             raise InvalidSpecError("class histogram is empty")
         total = float(sum(self.classes.values()))
@@ -526,8 +531,11 @@ def _integer(value) -> int:
 
 
 def _number(value) -> float:
+    """The one number rule: a finite real number, and not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise TypeError(f"must be finite, got {value!r}")
     return float(value)
 
 

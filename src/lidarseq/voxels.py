@@ -112,6 +112,15 @@ def _build(voxel_size, origin, coords, features, scale_level, pool=False) -> Vox
     return _from_checked(VoxelFeatureMap, voxel_size, origin, coords[order], features, scale_level, index)
 
 
+def _as_int64(floored: np.ndarray, xyz: np.ndarray, what: str) -> np.ndarray:
+    """Whole-valued floats as int64; a row the cast would wrap is an error naming its point."""
+    outside = ~((floored >= -(2.0**63)) & (floored < 2.0**63)).all(axis=1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise InvalidInputError(f"{what} {i} {xyz[i].tolist()} lies outside the int64 voxel range")
+    return floored.astype(np.int64)
+
+
 def voxelize(
     xyz: np.ndarray,
     features: np.ndarray,
@@ -130,12 +139,7 @@ def voxelize(
     if not (voxel_size > 0):
         raise InvalidInputError(f"voxel_size must be positive, got {voxel_size}")
     origin_arr = np.asarray(origin, dtype=np.float64).reshape(3)
-    coords = np.floor((xyz - origin_arr) / voxel_size)
-    outside = ~((coords >= -(2.0**63)) & (coords < 2.0**63)).all(axis=1)  # the int64 cast would wrap
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise InvalidInputError(f"point {i} {xyz[i].tolist()} lies outside the int64 voxel range")
-    coords = coords.astype(np.int64)  # rebound, so the float coordinates are freed before the build
+    coords = _as_int64(np.floor((xyz - origin_arr) / voxel_size), xyz, "point")
     return _build(voxel_size, origin_arr, coords, features, 0, pool=True)
 
 
@@ -163,7 +167,7 @@ def gather_trilinear(vmap: VoxelFeatureMap, query_xyz: np.ndarray) -> np.ndarray
     out = np.zeros((m, vmap.width))
     # Continuous position in "center units": voxel center c sits at u = c.
     u = (query_xyz - vmap.origin) / vmap.voxel_size - 0.5
-    base = np.floor(u).astype(np.int64)
+    base = _as_int64(np.floor(u), query_xyz, "query point")  # base + 1 fits too: no float below 2**63 is within 1 of it
     frac = u - base
 
     weight_sum = np.zeros(m)

@@ -691,6 +691,26 @@ class TestDivisions:
         assert by_step[2.0].near_step() == 4.0
         assert by_step[INFINITE_STEP].distance_split is None
 
+    def test_each_preset_is_pinned(self):
+        # every group of every shipped preset, in order: classes, step and split
+        easy = {1, 9, 13, 15}
+        hard = {2, 4, 5, 6, 7, 8, 14, 16, 18, 19}
+        split = DistanceSplit(threshold_m=30.0, near_step_multiplier=2)
+        pinned = {
+            "division1": [(easy, INFINITE_STEP, None), ({3, 11}, 4, None), (hard | {10, 12, 17}, 2, None)],
+            "division2": [({1, 3, 9, 11, 13, 15}, INFINITE_STEP, None), ({4, 6, 7, 14, 16, 17}, 4, None),
+                          ({2, 5, 8, 10, 12, 18, 19}, 2, None)],
+            "division3": [(easy, INFINITE_STEP, None), ({3, 10, 11, 12, 17}, 4, None), (hard, 2, None)],
+            "division4": [(easy, INFINITE_STEP, None), ({3}, 4, None), (hard, 2, None),
+                          ({10, 11, 12, 17}, 8, None)],
+            "division5": [(easy, INFINITE_STEP, None), ({3, 10, 11, 12, 17}, 4, split), (hard, 2, split)],
+        }
+        assert tuple(sorted(pinned)) == DIVISION_PRESET_NAMES
+        for name, groups in pinned.items():
+            want = tuple(ClassGroup(frozenset(classes), step, near) for classes, step, near in groups)
+            assert division_preset(name) == GroupDivision(want, window=16, default_step=INFINITE_STEP, name=name)
+            assert division_preset(name, window=5) == GroupDivision(want, window=5, name=name)
+
     def test_unknown_preset_names_the_valid_ones(self):
         with pytest.raises(ConfigurationError, match="division1"):
             division_preset("division99")

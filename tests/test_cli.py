@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, reproducibility, end-to-end subcommand wiring."""
 
+import dataclasses
 import json
+import math
 import shutil
 import tracemalloc
 import zipfile
@@ -130,9 +132,9 @@ class TestTopLevel:
                                           "--threshold"]),
             "lift": sorted(windowed + ["--image-step", "--image-window", "--scales", "--seed",
                                        "--voxel-size"]),
-            "distill": ["--help", "--mode", "--student", "--teacher"],
-            "bench": sorted(windowed + ["--bytes-per-point", "--division", "--format",
-                                        "--repeats", "--strategies", "--windows"]),
+            "distill": ["--help", "--student", "--teacher"],
+            "bench": sorted(windowed + ["--division", "--format", "--repeats", "--strategies",
+                                        "--windows"]),
         }
         # --seed has one meaning per command; only synth's falls back to the spec's own
         seeds = {name: sub.get_default("seed") for name, sub in commands.items()}
@@ -218,6 +220,24 @@ class TestSynth:
             "width": ({**SPEC, "camera": {"width": 0}}, "camera width must be positive, got 0"),
             "height": ({**SPEC, "camera": {"width": 32, "height": -4}},
                        "camera height must be positive, got -4"),
+        }
+        for name, (mapping, message) in cases.items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(mapping))
+            out = tmp_path / name
+            assert main(["synth", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+            assert not out.exists()
+
+    def test_spec_numbers_must_be_finite(self, tmp_path, capsys):
+        # checked where the spec is read, so no output directory appears
+        instance = SPEC["instances"][0]
+        cases = {
+            "infinite_extent": ({**SPEC, "extent": math.inf}, "extent must be finite, got inf"),
+            "negative_extent": ({**SPEC, "extent": -5}, "extent must be non-negative, got -5.0"),
+            "center": ({**SPEC, "instances": [{**instance, "center": [math.inf, 0, 0]}]},
+                       "instance 0: center must be finite, got inf"),
+            "ego_velocity": ({**SPEC, "ego": {"velocity": [math.nan, 0, 0]}}, "velocity must be finite, got nan"),
         }
         for name, (mapping, message) in cases.items():
             path = tmp_path / f"{name}.yaml"
@@ -389,6 +409,16 @@ class TestAggregate:
             assert code == 1
             assert capsys.readouterr().err == f"usage error: {path}: group 0: {message}\n"
 
+    def test_division_threshold_must_be_finite(self, seq_dir, tmp_path, capsys):
+        path = tmp_path / "far.yaml"
+        path.write_text("groups:\n  - classes: [1]\n    step: 2\n    distance_split: {threshold_m: .inf}\n")
+        message = f"{path}: group 0: threshold_m must be finite, got inf"
+        with pytest.raises(ConfigurationError) as info:
+            load_division(path)
+        assert str(info.value) == message
+        assert main(["aggregate", "--sequence", str(seq_dir), "--division", str(path)]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     def test_malformed_sequence_files_are_data_errors(self, seq_dir, capsys):
         times = seq_dir / "times.txt"
         listed = times.read_text().splitlines()
@@ -480,6 +510,20 @@ class TestAugment:
             assert np.array_equal(before.pose.matrix, after.pose.matrix)
             keep = before.labeled.instance != 5
             assert np.array_equal(before.labeled.cloud.xyz[keep], after.labeled.cloud.xyz[keep])
+
+    def test_output_poses_follow_the_source_tr(self, tmp_path):
+        # a turning ego, whose poses.txt rows depend on Tr's rotation
+        rot = np.eye(3)[[1, 2, 0]]
+        calib = dataclasses.replace(seqio.default_camera_calib(),
+                                    extrinsic=Pose.from_rotation_translation(rot, np.array([0.3, -0.1, 0.7])))
+        turning = {**SPEC, "ego": {"velocity": [1.0, 0.0, 0.0], "yaw_rate_deg": 30.0}}
+        source, out = tmp_path / "turning", tmp_path / "switched"
+        write_sequence(source, generate_synthetic(scene_spec_from_mapping(turning)), calib)
+        assert main(["augment", "--sequence", str(source), "--instance", "5",
+                     "--switch", "moving-to-static", "--out", str(out)]) == 0
+        assert (out / "poses.txt").read_bytes() == (source / "poses.txt").read_bytes()
+        for before, after in zip(load_sequence(source), load_sequence(out), strict=True):
+            assert np.array_equal(before.pose.matrix, after.pose.matrix)
 
     def test_threshold_reaches_the_relabelling(self, tmp_path):
         # 0.05 m of motion over six frames: moving only below the default threshold

@@ -171,11 +171,10 @@ class TestDistillLoss:
         a, b, c = maps
         assert distill_loss(a, c) <= distill_loss(a, b) + distill_loss(b, c) + 1e-12
 
-    def test_frobenius_mode(self):
+    def test_averages_the_per_voxel_norms(self):
+        # norms 3 and 4: their mean, not the norm of the stacked difference (5)
         student = make_map([[0, 0, 0], [1, 0, 0]], [[3.0], [0.0]])
         teacher = make_map([[0, 0, 0], [1, 0, 0]], [[0.0], [4.0]])
-        assert distill_loss(student, teacher, mode="frobenius") == 5.0
-        # mean mode averages the two per-voxel norms instead
         assert distill_loss(student, teacher) == 3.5
 
     def test_width_mismatch_is_rejected(self):
@@ -183,11 +182,6 @@ class TestDistillLoss:
         b = make_map([[0, 0, 0]], [[1.0]])
         with pytest.raises(ConfigurationError):
             distill_loss(a, b)
-
-    def test_unknown_mode_is_rejected(self):
-        a = make_map([[0, 0, 0]], [[1.0]])
-        with pytest.raises(ConfigurationError):
-            distill_loss(a, a, mode="median")
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(11)

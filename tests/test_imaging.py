@@ -328,7 +328,7 @@ class TestTemporalMultimodalGather:
         agg_img = aggregate_image_features(frames, images, CALIB, t=4, step=2, window=4)
         fused = fuse_to_voxels(agg_img, scales=3, seed=2, voxel_size=0.4)
         agg_pts = aggregate_direct(frames, t=4, window=4)
-        got = temporal_multimodal_gather(agg_pts, fused)
+        got = temporal_multimodal_gather(agg_pts.labeled.cloud.xyz, fused)
         xyz = agg_pts.labeled.cloud.xyz
         want = np.concatenate([gather_trilinear(m, xyz) for m in fused], axis=1)
         assert got.shape == (agg_pts.count, 3 * fused[0].width)

@@ -6,6 +6,7 @@ load_sequence returns must re-serialize to the very same bytes.
 
 import dataclasses
 import hashlib
+import math
 import shutil
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 
 import lidarseq.sequence as seqio
 from lidarseq.errors import FormatError, InvalidInputError, InvalidSpecError
-from lidarseq.geometry import LabeledCloud, Pose, PointCloud
+from lidarseq.geometry import LabeledCloud, Pose, PointCloud, compose
 from lidarseq.imaging import load_camera_calib, synthetic_feature_image, write_image
 from lidarseq.sequence import (
     EgoSpec,
@@ -111,6 +112,29 @@ class TestRoundTrip:
         write_sequence(tmp_path / "seq", frames)
         for frame in [*frames, *load_sequence(tmp_path / "seq")]:
             assert frame.labeled.cloud.xyz.T.flags.c_contiguous
+
+    def tilted_source(self, tmp_path):
+        """A moving-ego sequence written beside a Tr other than the default."""
+        default = default_camera_calib()
+        c, s = math.cos(0.0873), math.sin(0.0873)  # five degrees of yaw
+        yaw = Pose.from_rotation_translation(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
+                                             np.array([0.1, -0.3, 0.05]))
+        calib = dataclasses.replace(default, extrinsic=compose(default.extrinsic, yaw))
+        write_sequence(tmp_path / "src", generate_synthetic(demo_spec()), calib)
+        return tmp_path / "src", calib
+
+    def test_rewrite_beside_the_source_tr_is_byte_identical(self, tmp_path):
+        source, calib = self.tilted_source(tmp_path)
+        write_sequence(tmp_path / "out", load_sequence(source), calib)
+        assert tree_bytes(tmp_path / "out") == tree_bytes(source)
+
+    def test_rewrite_beside_another_tr_keeps_the_poses(self, tmp_path):
+        # the verbatim camera-frame rows beside the default Tr moved every pose
+        source, _ = self.tilted_source(tmp_path)
+        loaded = load_sequence(source)
+        write_sequence(tmp_path / "out", loaded)
+        for before, after in zip(loaded, load_sequence(tmp_path / "out"), strict=True):
+            assert np.abs(after.pose.matrix - before.pose.matrix).max() < 1e-9
 
     def test_calib_round_trip(self, tmp_path):
         frames = generate_synthetic(demo_spec())

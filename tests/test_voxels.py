@@ -328,6 +328,18 @@ class TestGatherTrilinear:
         with pytest.raises(InvalidInputError, match=r"query points must have shape \(N, 3\), got \(3, 2\)"):
             gather_trilinear(vmap, np.zeros((3, 2)))
 
+    @pytest.mark.filterwarnings("error")  # an unchecked int64 cast warns before it wraps
+    def test_rejects_queries_past_the_int64_voxel_range(self):
+        vmap = VoxelFeatureMap(1.0, np.zeros(3), np.array([[0, 0, 0]]), np.ones((1, 1)))
+        message = "query point 0 [1e+300, 0.0, 0.0] lies outside the int64 voxel range"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            gather_trilinear(vmap, [[1e300, 0, 0]])
+        with pytest.raises(InvalidInputError, match=re.escape("query point 1 [0.0, -1e+20, 0.0] lies outside")):
+            gather_trilinear(vmap, [[0, 0, 0], [0, -1e20, 0]])
+        # the floats at either end of the range still gather, base + 1 included
+        edges = [[np.nextafter(2.0**63, 0), 0, 0], [-(2.0**63), 0, 0]]
+        assert gather_trilinear(vmap, edges).tolist() == [[0.0], [0.0]]
+
     def test_rejects_non_finite_queries(self):
         vmap = VoxelFeatureMap(1.0, np.zeros(3), np.array([[0, 0, 0]]), np.ones((1, 1)))
         with pytest.raises(InvalidInputError):
