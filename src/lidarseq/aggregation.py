@@ -14,12 +14,12 @@ of its window, so each of those frames is checked for unmapped classes. A
 lookup table over the 16-bit label field gives every point the step of its
 class's group (unmapped classes take the division's default step, near
 points of a distance-split group the near step), and a point at offset k is
-kept when its step divides k. The kept rows of every frame are picked first,
-then each part is written once into its slice of one output, and only kept
-rows are moved: the calling thread moves the coordinates while one helper
-thread per call writes the other columns. Each output array has one writer,
-so no result depends on the scheduling. Rows come out present sweep first,
-then past sweeps by ascending offset, each in its source order.
+kept when its step divides k. The calling thread walks first, so a missing
+frame is reported before any class is checked; then it and one helper pick
+the kept rows of every other walked frame, raising the first error in walk
+order. Each part is written once into its slice of one (8, N) block: the
+calling thread moves kept coordinates, the helper writes the other columns.
+Rows come out present sweep first, then past sweeps by ascending offset.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import dataclasses
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -209,10 +210,29 @@ def _walk(frames: Sequence[SequenceFrame], t: int, steps, window: int):
         yield by_index[index], relative_pose(present.pose, by_index[index].pose)
 
 
+def _on_two_threads(calls: list) -> list:
+    """Call ``calls``, even positions in order on this thread and odd ones on one helper; return
+    the results in order. A thread stops at its first error; the lowest-placed one is raised."""
+    results, errors = [None] * len(calls), {}
+
+    def run(first):
+        try:
+            for i in range(first, len(calls), 2):
+                results[i] = calls[i]()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[i] = exc
+
+    helper = threading.Thread(target=run, args=(1,))
+    helper.start()
+    run(0)
+    helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _fill_columns(parts, outs) -> None:
-    """Write each part's intensity, labels and source tags into its slice of
-    ``outs``. The helper thread's body: numpy only, so a caller wrapping
-    lidarseq functions sees every call on the calling thread."""
+    """Write each part's intensity, labels and source tags into its slice of ``outs`` (numpy only)."""
     for part, frame, _, rows, step_tags in parts:
         labeled = frame.labeled
         for out, column in zip(outs, (labeled.cloud.intensity, labeled.semantic, labeled.instance)):
@@ -237,7 +257,8 @@ def _aggregate(
     default slot after the groups, and whether it lies closer than its
     group's distance split. A past point is kept when its code's step
     divides the offset. ``default_step=None`` makes any unmapped class in
-    the window an error.
+    the window an error. The output columns are views of one (8, N) float64
+    block, so keeping any one column keeps the whole block alive.
     """
     if not _is_whole(window) or window < 0:
         raise InvalidInputError(f"window must be a non-negative integer, got {window!r}")
@@ -254,9 +275,9 @@ def _aggregate(
     thresholds = np.array(splits + [0.0]).repeat(2)
     uniform = bool((steps == steps[0]).all())
 
-    # pass 1: each walked frame's kept rows (None for all of them), present first
-    picks = []  # (frame, pose into frame t, kept rows, step tags)
-    for frame, pose in _walk(frames, t, walked_steps(groups, default_step), window):
+    # pass 1: the walk and its poses on this thread; then, on two threads, each walked
+    # frame's (frame, pose into t, kept rows or None for all, step tags), or None
+    def select(frame, pose):
         semantic = frame.labeled.semantic
         if default_step is None or (pose is not None and not uniform):
             code = np.take(table, semantic + 1, mode="clip")
@@ -267,40 +288,31 @@ def _aggregate(
                 f"any group and the division has no default group"
             )
         if pose is None:
-            picks.append((frame, None, None, 0))
-            continue
+            return frame, None, None, 0
         keep = (t - frame.index) % steps == 0  # per code; the infinite step never divides
         if not keep.any():  # walked only for the unmapped-class check
-            continue
+            return None
         if uniform:
-            picks.append((frame, pose, None, tags[0]))
-            continue
+            return frame, pose, None, tags[0]
         if (keep & (thresholds > 0)).any():
             # range in the sweep's own sensor frame, once per frame, in norm's order
             x, y, z = frame.labeled.cloud.xyz.T
             code += np.sqrt(x * x + y * y + z * z) < thresholds[code]
         rows = None if keep.all() else np.flatnonzero(keep[code])
         if rows is None or rows.shape[0]:
-            picks.append((frame, pose, rows, tags[code if rows is None else code[rows]]))
+            return frame, pose, rows, tags[code if rows is None else code[rows]]
 
-    # pass 2: each part written once into its slice of one output; a helper
+    walk = _walk(frames, t, walked_steps(groups, default_step), window)
+    picks = [pick for pick in _on_two_threads([partial(select, *step) for step in walk]) if pick]
+
+    # pass 2: each part written once into its slice of one block; a helper
     # thread fills the other columns while this thread moves xyz
-    sizes = [frame.count if rows is None else rows.shape[0] for frame, _, rows, _ in picks]
-    starts = np.cumsum([0] + sizes).tolist()
-    n = starts[-1]
-    outs = (np.empty((3, n)).T, np.empty(n), *(np.empty(n, np.int64) for _ in range(4)))
+    starts = np.cumsum([0] + [f.count if rows is None else rows.shape[0] for f, _, rows, _ in picks]).tolist()
+    block = np.empty((8, starts[-1]))  # huge pages once it reaches numpy's 4 MB advice bound
+    outs = (block[:3].T, block[3], *(row.view(np.int64) for row in block[4:]))
     parts = [(slice(start, stop), *pick) for pick, start, stop in zip(picks, starts, starts[1:])]
-    failed = []
 
-    def fill():
-        try:
-            _fill_columns(parts, outs[1:])
-        except BaseException as exc:  # re-raised on the calling thread
-            failed.append(exc)
-
-    helper = threading.Thread(target=fill)
-    helper.start()
-    try:
+    def move():
         for part, frame, pose, rows, _ in parts:
             xyz, dst = frame.labeled.cloud.xyz, outs[0][part]
             if rows is not None:  # per axis into a contiguous row; mode="raise" would buffer it
@@ -310,10 +322,8 @@ def _aggregate(
                 dst[...] = xyz
             else:  # moved straight into its slice, in place after np.take
                 pose.apply(xyz if rows is None else dst, out=dst)
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
+
+    _on_two_threads([move, partial(_fill_columns, parts, outs[1:])])
     xyz, intensity, semantic, instance, source_frame, source_step = outs
     labeled = _from_checked(LabeledCloud, _from_checked(PointCloud, xyz, intensity), semantic, instance)
     return _from_checked(AggregatedCloud, labeled, source_frame, source_step, t)

@@ -241,7 +241,7 @@ class CameraSpec:  # holds the one default camera size
     def __post_init__(self):
         for key in ("width", "height"):
             if getattr(self, key) < 1:
-                raise InvalidSpecError(f"camera {key} must be positive, got {getattr(self, key)}")
+                raise InvalidSpecError(f"{key} must be positive, got {getattr(self, key)}")
 
     def calib(self) -> CameraCalib:
         return default_camera_calib(self.width, self.height)
@@ -344,12 +344,18 @@ class InstanceSpec:
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     instance_id: int | None = None
 
+    def __post_init__(self):
+        _check_fields(self, points=_integer, center=_numbers, size=_numbers, velocity=_numbers)
+
 
 @dataclass(frozen=True)
 class EgoSpec:
     start: tuple[float, float, float] = (0.0, 0.0, 0.0)
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     yaw_rate_deg: float = 0.0  # degrees per second
+
+    def __post_init__(self):
+        _check_fields(self, start=_numbers, velocity=_numbers, yaw_rate_deg=_number)
 
 
 @dataclass(frozen=True)
@@ -371,6 +377,8 @@ class SyntheticSceneSpec:
     extent: float = 40.0
 
     def __post_init__(self):
+        _check_fields(self, frame_count=_integer, points_per_frame=_integer, seed=_integer, extent=_number,
+                      classes=lambda classes: _numbers(classes.values()))
         if self.frame_count < 1:
             raise InvalidSpecError("frame_count must be >= 1")
         if self.points_per_frame < 0:
@@ -539,6 +547,20 @@ def _number(value) -> float:
     return float(value)
 
 
+def _numbers(values) -> list[float]:
+    return [_number(value) for value in values]
+
+
+def _check_fields(spec, **rules) -> None:
+    """The spec file's rule for each named field of a spec however it was
+    built; a failure names the field as the file reader does."""
+    for name, rule in rules.items():
+        try:
+            rule(getattr(spec, name))
+        except TypeError as exc:
+            raise InvalidSpecError(f"{name} {exc}") from None
+
+
 def _list(value) -> list:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"must be a list, got {value!r}")
@@ -565,8 +587,9 @@ def _class_fractions(value) -> dict[int, float]:
 
 def _from_mapping(spec_type, convert: Mapping, what: str):
     """Converter of a mapping to ``spec_type``: each key given goes through its
-    converter, whose TypeError the key prefixes; an absent key keeps the
-    dataclass default, and a key with no converter is an error."""
+    converter, whose TypeError, or error inside a nested mapping, the key
+    prefixes; an absent key keeps the dataclass default, and a key with no
+    converter is an error."""
 
     def build(raw):
         if not isinstance(raw, Mapping):
@@ -585,6 +608,10 @@ def _from_mapping(spec_type, convert: Mapping, what: str):
                 given[key] = convert[key](value)
             except TypeError as exc:
                 raise InvalidSpecError(f"{key} {exc}") from None
+            except InvalidSpecError as exc:  # a list's entries name themselves
+                if not isinstance(value, Mapping):
+                    raise
+                raise InvalidSpecError(f"{key}: {exc}") from None
         return spec_type(**given)
 
     return build

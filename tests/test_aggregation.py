@@ -6,6 +6,7 @@ implementation masks first, so agreement is meaningful.
 """
 
 import dataclasses
+import io
 import math
 import threading
 
@@ -550,6 +551,23 @@ class TestOutputsFromCheckedFrames:
             assert column.tobytes() == want[name].tobytes(), name
         assert checked.reference_frame == agg.reference_frame == 9
 
+    @pytest.mark.parametrize("strategy", ["direct", "stepped", "division3", "division5"])
+    def test_columns_are_contiguous_read_only_and_save_alone(self, frames, strategy):
+        # the columns are views of one block; each still acts as an array of its own
+        aggregate, _ = strategy_and_division(strategy, window=8)
+        columns = TestAssembly.columns(aggregate(frames, 9))
+        xyz = columns["xyz"]
+        assert xyz.T.flags.c_contiguous and xyz.dtype == np.float64 and not xyz.flags.writeable
+        for name, column in columns.items():
+            if name != "xyz":
+                assert column.ndim == 1 and column.flags.c_contiguous, name
+                assert column.dtype == (np.float64 if name == "intensity" else np.int64), name
+                assert not column.flags.writeable, name
+            saved, fresh = io.BytesIO(), io.BytesIO()
+            np.save(saved, column)
+            np.save(fresh, column.copy(order="K"))
+            assert saved.getvalue() == fresh.getvalue(), name
+
     def test_non_finite_coordinate_is_rejected_when_the_frame_is_built(self, frames):
         xyz = frames[3].labeled.cloud.xyz.copy()
         xyz[7, 1] = np.nan
@@ -624,8 +642,31 @@ class TestBlockEdges:
 
 
 class TestHelperThread:
-    """Pass 2 moves xyz on the calling thread while one helper thread per
-    call writes the other columns."""
+    """Pass 1 walks on the calling thread, then it and one helper thread per
+    call each select every other walked frame; pass 2 moves xyz on the
+    calling thread while the helper writes the other columns."""
+
+    STRICT = GroupDivision((ClassGroup(frozenset({1, 9, 13}), 2),), window=6, default_step=None)
+
+    @pytest.mark.parametrize("marked, first", [((6, 5), 6), ((5, 4), 5), ((3, 6), 6), ((1, 7), 7)])
+    def test_the_first_unassigned_frame_in_walk_order_is_reported(self, marked, first):
+        # at t = 7 the walk is 7, 6, ..., 1: this thread selects 7, 5, 3, 1
+        # and the helper 6, 4, 2, so each pair puts one frame on each thread
+        frames = [relabeled(f, 0, 20 + f.index) if f.index in marked else f for f in scene()]
+        before = threading.active_count()
+        for _ in range(20):
+            with pytest.raises(ConfigurationError, match=rf"classes \[{20 + first}\] in frame {first} "):
+                aggregate_fsa(frames, 7, self.STRICT)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("unassigned", [7, 6])
+    def test_a_missing_frame_is_reported_before_an_earlier_unassigned_class(self, unassigned):
+        # the walk is materialised before any frame is selected, so frame 3's
+        # absence is reported although the unassigned class comes first
+        frames = [relabeled(f, 0, 15) if f.index == unassigned else f for f in scene() if f.index != 3]
+        for _ in range(20):
+            with pytest.raises(InvalidInputError, match="frame 3 is required"):
+                aggregate_fsa(frames, 7, self.STRICT)
 
     @pytest.mark.parametrize("strategy", ["direct", "stepped", "division5"])
     def test_every_pose_apply_runs_on_the_calling_thread(self, monkeypatch, strategy):

@@ -178,7 +178,8 @@ class TestSynth:
         cases = {
             "frame_count": ({**base, "frame_count": 2.5}, "frame_count must be an integer, got 2.5"),
             "seed": ({**base, "seed": "7"}, "seed must be an integer, got '7'"),
-            "width": ({**base, "camera": {"width": 32.7}}, "width must be an integer, got 32.7"),
+            "width": ({**base, "camera": {"width": 32.7}}, "camera: width must be an integer, got 32.7"),
+            "height": ({**base, "camera": {"height": "48"}}, "camera: height must be an integer, got '48'"),
             "points": ({**base, "instances": [{**instance, "points": 5}, instance]},
                        "instance 1: points must be an integer, got 5.5"),
             "fractional_class": ({**base, "classes": {1.9: 1.0}}, "classes must map integer class ids"),
@@ -217,9 +218,9 @@ class TestSynth:
 
     def test_camera_size_must_be_positive(self, tmp_path, capsys):
         cases = {
-            "width": ({**SPEC, "camera": {"width": 0}}, "camera width must be positive, got 0"),
+            "width": ({**SPEC, "camera": {"width": 0}}, "camera: width must be positive, got 0"),
             "height": ({**SPEC, "camera": {"width": 32, "height": -4}},
-                       "camera height must be positive, got -4"),
+                       "camera: height must be positive, got -4"),
         }
         for name, (mapping, message) in cases.items():
             path = tmp_path / f"{name}.yaml"
@@ -237,7 +238,10 @@ class TestSynth:
             "negative_extent": ({**SPEC, "extent": -5}, "extent must be non-negative, got -5.0"),
             "center": ({**SPEC, "instances": [{**instance, "center": [math.inf, 0, 0]}]},
                        "instance 0: center must be finite, got inf"),
-            "ego_velocity": ({**SPEC, "ego": {"velocity": [math.nan, 0, 0]}}, "velocity must be finite, got nan"),
+            "ego_velocity": ({**SPEC, "ego": {"velocity": [math.nan, 0, 0]}},
+                             "ego: velocity must be finite, got nan"),
+            "ego_start": ({**SPEC, "ego": {"start": [0, math.inf, 0]}}, "ego: start must be finite, got inf"),
+            "ego_yaw": ({**SPEC, "ego": {"yaw_rate_deg": math.nan}}, "ego: yaw_rate_deg must be finite, got nan"),
         }
         for name, (mapping, message) in cases.items():
             path = tmp_path / f"{name}.yaml"
@@ -372,7 +376,7 @@ class TestAggregate:
             "group_typo": ("groups:\n" + good + "    stpe: 4\n", "group 0: unknown group key 'stpe'"),
             "split_typo": (
                 "groups:\n" + good + "    distance_split: {threshold_m: 5.0, near_multiplier: 3}\n",
-                "group 0: unknown distance_split key 'near_multiplier'",
+                "group 0: distance_split: unknown distance_split key 'near_multiplier'",
             ),
         }
         for name, (text, where) in cases.items():
@@ -395,8 +399,9 @@ class TestAggregate:
             "boolean_step": ("  - classes: [1]\n    step: true\n",
                              "step must be a positive integer or infinite, got True"),
             "fractional_multiplier": (split + "{threshold_m: 5.0, near_step_multiplier: 2.5}\n",
-                                      "near_step_multiplier must be an integer, got 2.5"),
-            "quoted_threshold": (split + "{threshold_m: '5'}\n", "threshold_m must be a number, got '5'"),
+                                      "distance_split: near_step_multiplier must be an integer, got 2.5"),
+            "quoted_threshold": (split + "{threshold_m: '5'}\n",
+                                 "distance_split: threshold_m must be a number, got '5'"),
         }
         for name, (group, message) in cases.items():
             path = tmp_path / f"{name}.yaml"
@@ -412,7 +417,7 @@ class TestAggregate:
     def test_division_threshold_must_be_finite(self, seq_dir, tmp_path, capsys):
         path = tmp_path / "far.yaml"
         path.write_text("groups:\n  - classes: [1]\n    step: 2\n    distance_split: {threshold_m: .inf}\n")
-        message = f"{path}: group 0: threshold_m must be finite, got inf"
+        message = f"{path}: group 0: distance_split: threshold_m must be finite, got inf"
         with pytest.raises(ConfigurationError) as info:
             load_division(path)
         assert str(info.value) == message

@@ -406,6 +406,30 @@ class TestSyntheticScene:
                 instances=(InstanceSpec(class_id=1, points=90, center=(0, 0, 0)),),
             )
 
+    def test_in_memory_specs_take_the_file_number_rules(self):
+        # the messages of a spec file's keys, where a raw OverflowError or a
+        # non-finite pose used to surface only once the scene was generated
+        cases = {
+            "extent must be finite, got inf": lambda: demo_spec(extent=math.inf),
+            "classes must be finite, got nan": lambda: demo_spec(classes={1: math.nan, 9: 1.0}),
+            "frame_count must be an integer, got inf": lambda: demo_spec(frame_count=math.inf),
+            "seed must be an integer, got 2.5": lambda: demo_spec(seed=2.5),
+            "velocity must be finite, got inf": lambda: EgoSpec(velocity=(math.inf, 0, 0)),
+            "start must be a number, got '1'": lambda: EgoSpec(start=("1", 0, 0)),
+            "yaw_rate_deg must be finite, got nan": lambda: EgoSpec(yaw_rate_deg=math.nan),
+            "center must be finite, got nan": lambda: InstanceSpec(1, 5, (0.0, math.nan, 0.0)),
+            "size must be finite, got -inf": lambda: InstanceSpec(1, 5, (0, 0, 0), size=(1, 1, -math.inf)),
+            "points must be an integer, got 5.5": lambda: InstanceSpec(1, 5.5, (0, 0, 0)),
+        }
+        for message, build in cases.items():
+            with pytest.raises(InvalidSpecError) as info:
+                build()
+            assert str(info.value) == message
+        # the spec file says the same, naming the file and the nesting
+        raw = {"frame_count": 2, "points_per_frame": 10, "classes": {1: 1.0}, "ego": {"velocity": [math.inf, 0, 0]}}
+        with pytest.raises(InvalidSpecError, match="^spec: ego: velocity must be finite, got inf$"):
+            scene_spec_from_mapping(raw)
+
     def test_spec_parses_from_yaml(self, tmp_path):
         text = """
 frame_count: 3
