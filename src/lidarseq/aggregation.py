@@ -19,14 +19,15 @@ frame is reported before any class is checked; then it and one helper pick
 the kept rows of every other walked frame, raising the first error in walk
 order. Each part is written once into its slice of one (8, N) block: the
 calling thread moves kept coordinates, the helper writes the other columns.
-Rows come out present sweep first, then past sweeps by ascending offset.
+Both passes run on ``geometry._on_two_threads``, the one runner, which also
+renders and writes synthetic scenes. Rows come out present sweep first,
+then past sweeps by ascending offset.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -35,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .geometry import LabeledCloud, PointCloud, _from_checked, relative_pose
+from .geometry import LabeledCloud, PointCloud, _from_checked, _on_two_threads, relative_pose
 from .sequence import (
     LABEL_FIELD_SIZE, SequenceFrame, _entries, _from_mapping, _integer, _is_whole, _list, _number, _read_yaml,
 )
@@ -208,27 +209,6 @@ def _walk(frames: Sequence[SequenceFrame], t: int, steps, window: int):
                 f"frame {index} is required for aggregation at t={t} but missing"
             )
         yield by_index[index], relative_pose(present.pose, by_index[index].pose)
-
-
-def _on_two_threads(calls: list) -> list:
-    """Call ``calls``, even positions in order on this thread and odd ones on one helper; return
-    the results in order. A thread stops at its first error; the lowest-placed one is raised."""
-    results, errors = [None] * len(calls), {}
-
-    def run(first):
-        try:
-            for i in range(first, len(calls), 2):
-                results[i] = calls[i]()
-        except BaseException as exc:  # re-raised on the calling thread
-            errors[i] = exc
-
-    helper = threading.Thread(target=run, args=(1,))
-    helper.start()
-    run(0)
-    helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 def _fill_columns(parts, outs) -> None:

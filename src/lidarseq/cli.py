@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import shutil
 import sys
 from pathlib import Path
@@ -32,7 +31,7 @@ from .imaging import (
 )
 from .sequence import (
     _parse_calib,
-    _synthetic_frames,
+    _scene_renderer,
     _write_frames,
     corrupt_labels,
     default_camera_calib,
@@ -126,15 +125,17 @@ def _cmd_synth(args) -> int:
     spec = load_scene_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    out, calib = Path(args.out), spec.camera.calib()
-    # one coordinate buffer for every frame: each frame is written before the
-    # next is computed into it, so no frame's pages are faulted in anew
-    coords = itertools.repeat(np.empty((3, spec.points_per_frame)), spec.frame_count)
-    _write_frames(out, _synthetic_frames(spec, coords), calib)
-    image_dir = out / "image_2"
-    image_dir.mkdir(exist_ok=True)
-    for index in range(spec.frame_count):
-        _write_synthetic_image(image_dir / f"{index:06d}.ppm", calib, index, spec.seed)
+    out, calib, render = Path(args.out), spec.camera.calib(), _scene_renderer(spec)
+    (out / "image_2").mkdir(parents=True, exist_ok=True)
+    # one coordinate buffer per thread of the runner, which gives slot k to thread
+    # k % 2: each frame is written before its thread computes the next into it
+    buffers = np.empty((2, 3, spec.points_per_frame))
+
+    def frame(slot):
+        _write_synthetic_image(out / "image_2" / f"{slot:06d}.ppm", calib, slot, spec.seed)
+        return render(slot, buffers[slot % 2])
+
+    _write_frames(out, spec.frame_count, frame, calib)
     print(f"wrote {spec.frame_count} frames ({spec.frame_count * spec.points_per_frame} points) to {out}")
     return 0
 
@@ -365,6 +366,8 @@ def main(argv=None) -> int:
             parser.print_help(sys.stderr)
             return 1
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # before anything is read
+            raise UsageError(f"argument --seed: must be >= 0, got {args.seed}")
         if not hasattr(args, "func"):
             parser.print_help(sys.stderr)
             return 1

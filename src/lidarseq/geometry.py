@@ -8,6 +8,7 @@ C-contiguous (3, N) array, one contiguous row per axis; files stay row-major.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -197,3 +198,24 @@ def _from_checked(cls, *values):
             value.flags.writeable = False
         object.__setattr__(obj, field.name, value)
     return obj
+
+
+def _on_two_threads(calls: list) -> list:
+    """Call ``calls``, even positions in order on this thread and odd ones on one helper; return
+    the results in order. A thread stops at its first error; the lowest-placed one is raised."""
+    results, errors = [None] * len(calls), {}
+
+    def run(first):
+        try:
+            for i in range(first, len(calls), 2):
+                results[i] = calls[i]()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[i] = exc
+
+    helper = threading.Thread(target=run, args=(1,))
+    helper.start()
+    run(0)
+    helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -14,6 +14,11 @@ Poses in ``poses.txt`` follow the upstream convention (camera frame); the
 loader conjugates them with Tr so every ``SequenceFrame.pose`` maps LiDAR
 coordinates to a common world frame. The camera (P2, Tr and the size of the
 images under image_2/) is loaded by ``imaging.load_camera_calib``.
+
+Writing a sequence and rendering a synthetic scene go frame by frame on
+``geometry._on_two_threads``, the runner aggregation uses: even frames on
+the calling thread, odd ones on one helper, with the same bytes as one
+thread. A helper calls numpy, constructors and private helpers only.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ import math
 import numbers
 import operator
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, InvalidSpecError
-from .geometry import LabeledCloud, Pose, PointCloud, compose, invert
+from .geometry import LabeledCloud, Pose, PointCloud, _on_two_threads, compose, invert
 
 FRAME_PERIOD_S = 0.1
 
@@ -280,21 +286,20 @@ def write_sequence(seq_dir, frames: Sequence[SequenceFrame], calib: CameraCalib 
                     f"frame {frame.index}: {name} id {lo if lo < 0 else hi} lies outside "
                     f"the 16-bit label field [0, {LABEL_FIELD_SIZE - 1}]"
                 )
-    _write_frames(Path(seq_dir), ordered, default_camera_calib() if calib is None else calib)
+    _write_frames(Path(seq_dir), len(ordered), ordered.__getitem__, default_camera_calib() if calib is None else calib)
 
 
-def _write_frames(seq_dir: Path, frames: Iterable[SequenceFrame], calib: CameraCalib) -> None:
-    """Write each frame as it comes, as file index 0, 1, ...; then poses.txt,
-    times.txt and calib.txt. The frames' label ids must fit 16 bits."""
+def _write_frames(seq_dir: Path, count: int, frame_at, calib: CameraCalib) -> None:
+    """Write ``frame_at(slot)`` as file index slot, for slots 0..count-1 on
+    ``_on_two_threads``; then poses.txt, times.txt and calib.txt on this thread.
+    The frames' label ids must fit 16 bits."""
     (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
     (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
     tr = calib.extrinsic
     tr_inv = invert(tr)
 
-    pose_lines = []
-    time_lines = []
-    for slot, frame in enumerate(frames):
-        stem = f"{slot:06d}"
+    def write(slot):  # the slot's .bin and .label; its poses.txt and times.txt lines
+        frame, stem = frame_at(slot), f"{slot:06d}"
         cloud = frame.labeled.cloud
         data = np.empty((cloud.count, 4), dtype="<f4")
         data[:, :3] = cloud.xyz
@@ -308,9 +313,9 @@ def _write_frames(seq_dir: Path, frames: Iterable[SequenceFrame], calib: CameraC
         row = compose(compose(tr, frame.pose), tr_inv).matrix
         if frame.file_pose is not None and np.abs(frame.file_pose - row).max() <= 1e-9:
             row = frame.file_pose
-        pose_lines.append(_format_matrix(row))
-        time_lines.append(repr(float(frame.timestamp)))
+        return _format_matrix(row), repr(float(frame.timestamp))
 
+    pose_lines, time_lines = zip(*_on_two_threads([partial(write, slot) for slot in range(count)]))
     (seq_dir / "poses.txt").write_text("\n".join(pose_lines) + "\n")
     (seq_dir / "times.txt").write_text("\n".join(time_lines) + "\n")
 
@@ -381,6 +386,8 @@ class SyntheticSceneSpec:
                       classes=lambda classes: _numbers(classes.values()))
         if self.frame_count < 1:
             raise InvalidSpecError("frame_count must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if self.points_per_frame < 0:
             raise InvalidSpecError("points_per_frame must be >= 0")
         if not self.extent >= 0:
@@ -438,12 +445,11 @@ def _ego_pose(ego: EgoSpec, frame: int) -> Pose:
     return Pose.from_rotation_translation(rot, trans)
 
 
-def _synthetic_frames(spec: SyntheticSceneSpec, coords: Iterable[np.ndarray]) -> Iterator[SequenceFrame]:
-    """The spec's frames one at a time. ``coords`` gives one C-contiguous
-    (3, points_per_frame) array per frame, and frame k's coordinates are
-    computed into the k-th; a caller that is done with each frame before
-    asking for the next may give the same array every time. All random
-    numbers are drawn before the first frame."""
+def _scene_renderer(spec: SyntheticSceneSpec) -> Callable[[int, np.ndarray], SequenceFrame]:
+    """Draw every random number of the spec; return ``render(k, dst)``, which
+    computes frame k's coordinates into the C-contiguous (3, points_per_frame)
+    array ``dst`` and returns the frame. Renders share nothing they write, so
+    they may run on several threads."""
     rng = np.random.default_rng(spec.seed)
     quotas = class_point_quotas(spec.classes, spec.points_per_frame)
     instance_budget: dict[int, int] = {}
@@ -500,30 +506,34 @@ def _synthetic_frames(spec: SyntheticSceneSpec, coords: Iterable[np.ndarray]) ->
         semantic = np.zeros(0, dtype=np.int64)
         instance = np.zeros(0, dtype=np.int64)
     intensity = rng.random(world0.shape[0])
-    del world_chunks, sem_chunks, inst_chunks  # the generator lives on: hold one copy of the world
+    del world_chunks, sem_chunks, inst_chunks  # the renderer lives on: hold one copy of the world
 
-    for k, dst in enumerate(coords):
+    def render(k: int, dst: np.ndarray) -> SequenceFrame:
         dt = k * FRAME_PERIOD_S
         pose = _ego_pose(spec.ego, k)
         rel = world0 - pose.translation
         for rows, vel in moving:  # (world0 + offset) - t, rounded in that order, as the pinned bytes are
             rel[rows] = (world0[rows] + vel * dt) - pose.translation
         np.matmul(pose.rotation.T, rel.T, out=dst)  # (w - t) @ R, one gemm into the frame's rows
-        yield SequenceFrame(
+        return SequenceFrame(
             index=k,
             labeled=LabeledCloud(PointCloud(dst.T, intensity), semantic, instance),
             pose=pose,
             timestamp=dt,
         )
 
+    return render
+
 
 def generate_synthetic(spec: SyntheticSceneSpec) -> list[SequenceFrame]:
     """Render the spec into frames (sensor coordinates + LiDAR-to-world poses).
 
     Every frame's coordinates are one (3, N) row of a single (frames, 3, N)
-    block, so keeping any one frame keeps the whole block alive.
+    block, so keeping any one frame keeps the whole block alive. Frames are
+    rendered on ``_on_two_threads``.
     """
-    return list(_synthetic_frames(spec, np.empty((spec.frame_count, 3, spec.points_per_frame))))
+    render, block = _scene_renderer(spec), np.empty((spec.frame_count, 3, spec.points_per_frame))
+    return _on_two_threads([partial(render, k, block[k]) for k in range(spec.frame_count)])
 
 
 def _is_whole(value) -> bool:

@@ -9,9 +9,11 @@ Every map is made by ``_build``: it packs the coordinates into mixed-radix
 int64 keys over their bounding box (the keys ascend in the canonical order),
 stable-sorts them once, and averages rows that share a key (voxelize,
 downsample) or rejects them (the constructor). The kernel keeps its input's
-coordinates, keys and box. Lookups (gather, kernel taps, shared voxels) are
-one ``np.searchsorted`` per batch in ``VoxelFeatureMap.rows``; coordinates
-outside the box miss unpacked. A box of 2**62 voxels or more is rejected.
+coordinates, keys and box. Lookups (gather, shared voxels) are one
+``np.searchsorted`` per batch in ``VoxelFeatureMap.rows``; coordinates
+outside the box miss unpacked. A kernel tap searches the stored keys
+shifted by the tap's offset in key space, behind one edge test per axis.
+A box of 2**62 voxels or more is rejected.
 """
 
 from __future__ import annotations
@@ -207,13 +209,21 @@ def apply_fixed_kernel(vmap: VoxelFeatureMap, kernel: np.ndarray) -> VoxelFeatur
         raise ConfigurationError(
             f"kernel input width {kernel.shape[4]} != map width {vmap.width}"
         )
+    # coord + d stays in the box where each axis with d = -1 is above lo and
+    # each with d = +1 below hi; there its key is the stored key + d . radix
+    lo, hi, radix, keys = vmap._index
+    edges = {-1: vmap.coords > lo, 1: vmap.coords < hi}
     out = np.zeros((vmap.count, kernel.shape[3]))
-    for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3):
-        tap = kernel[dx + 1, dy + 1, dz + 1]
-        rows = vmap.rows(vmap.coords + np.array([dx, dy, dz], dtype=np.int64))
-        found = rows >= 0
+    for d in itertools.product((-1, 0, 1), repeat=3):
+        tap = kernel[d[0] + 1, d[1] + 1, d[2] + 1]
+        shifted = keys + int(np.dot(d, radix))
+        pos = np.minimum(np.searchsorted(keys, shifted), vmap.count - 1)
+        found = keys[pos] == shifted
+        for axis, step in enumerate(d):
+            if step:
+                found &= edges[step][:, axis]
         if found.any():
-            out[found] += vmap.features[rows[found]] @ tap.T
+            out[found] += vmap.features[pos[found]] @ tap.T
     if not np.isfinite(out).all():
         raise InvalidInputError("voxel features contain non-finite values")
     return _from_checked(

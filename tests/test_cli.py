@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import shutil
+import threading
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -303,6 +304,29 @@ class TestSynth:
         synth, default = load_camera_calib(seq_dir), seqio.default_camera_calib()
         assert (synth.width, synth.height) == (default.width, default.height) == (64, 48)
 
+    @pytest.mark.parametrize("broken, named", [((1,), 1), ((0, 1), 0), ((1, 2), 1), ((3, 4), 3)])
+    def test_the_lowest_failing_slot_is_named(self, tmp_path, spec_path, capsys, broken, named):
+        # the runner gives even slots to this thread and odd ones to a helper;
+        # a .bin path that is a directory fails its slot's write
+        out = tmp_path / "out"
+        for slot in broken:
+            (out / "velodyne" / f"{slot:06d}.bin").mkdir(parents=True)
+        before = threading.active_count()
+        assert main(["synth", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(f"'{out / 'velodyne' / f'{named:06d}.bin'}'")
+        assert threading.active_count() == before
+
+    def test_negative_seeds_are_rejected_before_any_file_is_written(self, tmp_path, spec_path, capsys):
+        out = tmp_path / "flag"
+        assert main(["synth", str(spec_path), "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "usage error: argument --seed: must be >= 0, got -1\n"
+        path, out = tmp_path / "negative.yaml", tmp_path / "spec"
+        path.write_text(yaml.safe_dump({**SPEC, "seed": -5}))
+        assert main(["synth", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: seed must be >= 0, got -5\n"
+        assert not (tmp_path / "flag").exists() and not out.exists()
+
 
 class TestAggregate:
     def test_fsa_dump_matches_the_library(self, seq_dir, tmp_path, capsys):
@@ -475,6 +499,16 @@ class TestAggregate:
             assert np.load(out)["xyz"].shape[0] == want.count
             assert f"(window {window}," in capsys.readouterr().out
 
+    def test_negative_seed_is_a_usage_error(self, seq_dir, capsys):
+        # seed + frame index seeds each past frame's corruption; from frame 2
+        # with window 2 a seed of -3 would reach -1 at frame 1
+        args = ["aggregate", "--sequence", str(seq_dir), "--frame", "2", "--window", "2",
+                "--label-error-rate", "0.5"]
+        assert main(args + ["--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(args + ["--seed", "-3"]) == 1
+        assert capsys.readouterr().err == "usage error: argument --seed: must be >= 0, got -3\n"
+
     def test_direct_and_stepped_default_to_the_default_window(self, seq_dir, capsys):
         for strategy in ("direct", "stepped"):
             assert main(["aggregate", "--sequence", str(seq_dir), "--strategy", strategy]) == 0
@@ -589,7 +623,23 @@ class TestAugment:
         assert set(agg.labeled.semantic[agg.labeled.instance == 5].tolist()) == {252}
 
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # a missing sequence would be a data error (2): the flag is checked before any read
+        out = tmp_path / "x"
+        assert main(["augment", "--sequence", str(tmp_path / "missing"), "--instance", "5",
+                     "--switch", "static-to-moving", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: argument --seed: must be >= 0, got -1\n"
+        assert not out.exists()
+
+
 class TestLift:
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # a missing sequence would be a data error (2): the flag is checked before any read
+        out = tmp_path / "maps.npz"
+        assert main(["lift", "--sequence", str(tmp_path / "missing"), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: argument --seed: must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_reads_images_and_writes_fused_maps(self, seq_dir, tmp_path, capsys):
         out = tmp_path / "maps.npz"
         code = main(["lift", "--sequence", str(seq_dir), "--image-step", "2",

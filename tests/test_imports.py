@@ -2,8 +2,9 @@
 
 Every import sits at module level, so a module's dependencies show at its
 top; ``yaml`` is the one exception, imported only when a config file is
-read. The package-internal ``from .x import`` graph has no cycle, and the
-CLI's start-up imports no thread pool or logging. The parameter names of
+read. The package-internal ``from .x import`` graph has no cycle, one
+runner starts every thread, and the CLI's start-up imports no thread pool or
+logging. The parameter names of
 every callable the package root exports are pinned.
 """
 
@@ -84,13 +85,13 @@ def _modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _imports(tree: ast.AST, function=None):
-    """(innermost enclosing function name or None, node) for every import."""
+def _nodes(tree: ast.AST, kinds=(ast.Import, ast.ImportFrom), function=None):
+    """(innermost enclosing function name or None, node) for every node of ``kinds``."""
     for child in ast.iter_child_nodes(tree):
-        if isinstance(child, (ast.Import, ast.ImportFrom)):
+        if isinstance(child, kinds):
             yield function, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        yield from _imports(child, inner)
+        yield from _nodes(child, kinds, inner)
 
 
 def _local_targets(node: ast.ImportFrom, modules) -> list[str]:
@@ -135,7 +136,7 @@ def test_no_import_inside_a_function():
     late = [
         f"{name}.{function} line {node.lineno}"
         for name, tree in _modules().items()
-        for function, node in _imports(tree)
+        for function, node in _nodes(tree)
         if function is not None
         and not (isinstance(node, ast.Import) and {a.name for a in node.names} <= LATE_IMPORTS)
     ]
@@ -146,7 +147,7 @@ def test_module_level_imports_form_no_cycle():
     modules = _modules()
     graph = {name: set() for name in modules}
     for name, tree in modules.items():
-        for function, node in _imports(tree):
+        for function, node in _nodes(tree):
             if function is None and isinstance(node, ast.ImportFrom):
                 graph[name].update(_local_targets(node, modules))
     assert _find_cycle(graph) == []
@@ -155,6 +156,18 @@ def test_module_level_imports_form_no_cycle():
 def test_a_cycle_is_found():
     assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+def test_one_thread_runner_makes_every_thread():
+    # geometry._on_two_threads is the one place a thread is started
+    sites = [
+        (name, function)
+        for name, tree in _modules().items()
+        for function, node in _nodes(tree, ast.Call)
+        if isinstance(node.func, (ast.Attribute, ast.Name))
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id) == "Thread"
+    ]
+    assert sites == [("geometry", "_on_two_threads")]
 
 
 def test_the_cli_loads_no_executor_or_logging():

@@ -346,6 +346,27 @@ class TestSyntheticScene:
             "99e4cf8dc5ce8384fb66c5d8e24b0a906b5926120484e0cb9efa8c909423c7e8",
         ]
 
+    @pytest.mark.parametrize("frame_count", [1, 2, 3, 7])
+    def test_frames_equal_a_serial_render(self, frame_count):
+        # generate_synthetic renders on two threads; each frame is the bytes
+        # of rendering it alone, in order, into a fresh block
+        spec = demo_spec(frame_count=frame_count, ego=EgoSpec(velocity=(2.0, 0.5, 0.0), yaw_rate_deg=15.0))
+        render = seqio._scene_renderer(spec)
+        block = np.empty((frame_count, 3, spec.points_per_frame))
+        want = [render(k, block[k]) for k in range(frame_count)]
+        got = generate_synthetic(spec)
+        assert [f.index for f in got] == list(range(frame_count))
+        for g, w in zip(got, want, strict=True):
+            assert g.labeled.cloud.xyz.tobytes() == w.labeled.cloud.xyz.tobytes()
+            assert g.labeled.cloud.intensity.tobytes() == w.labeled.cloud.intensity.tobytes()
+            assert g.labeled.semantic.tobytes() == w.labeled.semantic.tobytes()
+            assert g.labeled.instance.tobytes() == w.labeled.instance.tobytes()
+            assert g.pose.matrix.tobytes() == w.pose.matrix.tobytes() and g.timestamp == w.timestamp
+
+    def test_negative_seed_is_a_spec_error(self):
+        with pytest.raises(InvalidSpecError, match=r"seed must be >= 0, got -1"):
+            demo_spec(seed=-1)
+
     def test_histogram_matches_spec_within_one_point(self):
         spec = demo_spec(points_per_frame=997)
         frame = generate_synthetic(spec)[0]

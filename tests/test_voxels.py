@@ -382,6 +382,19 @@ class TestFixedKernel:
             for coord, feat in zip(got.coords.tolist(), got.features):
                 assert np.abs(feat - want[tuple(coord)]).max() < 1e-9
 
+    def test_each_tap_adds_what_a_row_lookup_finds(self):
+        # key-space taps find the neighbours VoxelFeatureMap.rows finds, and
+        # add the same matmul operands in the same tap order: the same bytes
+        rng = np.random.default_rng(14)
+        for vmap in (random_map(rng, count=300, width=4), flat_map(rng, 1, width=4)):
+            kernel = seeded_kernel(4, 7)
+            want = np.zeros((vmap.count, 4))
+            for d in itertools.product((-1, 0, 1), repeat=3):
+                rows = vmap.rows(vmap.coords + np.array(d))
+                found = rows >= 0
+                want[found] += vmap.features[rows[found]] @ kernel[d[0] + 1, d[1] + 1, d[2] + 1].T
+            assert apply_fixed_kernel(vmap, kernel).features.tobytes() == want.tobytes()
+
     def test_linear_in_the_features(self):
         rng = np.random.default_rng(12)
         vmap = random_map(rng, count=40, width=2)
