@@ -18,7 +18,8 @@ images under image_2/) is loaded by ``imaging.load_camera_calib``.
 Writing a sequence and rendering a synthetic scene go frame by frame on
 ``geometry._on_two_threads``, the runner aggregation uses: even frames on
 the calling thread, odd ones on one helper, with the same bytes as one
-thread. A helper calls numpy, constructors and private helpers only.
+thread. A helper calls numpy, constructors, ``compose`` and private helpers
+only, never ``Pose.apply``.
 """
 
 from __future__ import annotations
