@@ -16,7 +16,7 @@ import numpy as np
 
 from .aggregation import AggregatedCloud
 from .errors import ConfigurationError, InvalidInputError, NotAugmentableError
-from .geometry import LabeledCloud, PointCloud, _from_checked
+from .geometry import LabeledCloud, PointCloud, _from_checked, _seeded_rng
 
 DEFAULT_MOTION_THRESHOLD = 0.2  # meters of centroid travel across the track
 SPEED_RANGE = (0.2, 1.0)  # meters per frame-step
@@ -176,13 +176,17 @@ def _motion_axis(track: InstanceTrack) -> np.ndarray:
     return np.array([1.0, 0.0, 0.0]) if extent[0] >= extent[1] else np.array([0.0, 1.0, 0.0])
 
 
-def _fewest_points_anchor(anchors: AnchorSet, scene_xyz: np.ndarray) -> int:
-    # only points in the anchors' box widened by twice the coverage radius
-    # can be covered; so wide a margin leaves rounding no edge to cut
+def _in_anchor_box(anchors: AnchorSet, xyz: np.ndarray) -> np.ndarray:
+    """The rows of (N, 3) ``xyz`` in the anchors' box widened by twice the coverage
+    radius: only they can be covered; so wide a margin leaves rounding no edge to cut."""
     reach = 2 * anchors.coverage_radius
     lo, hi = anchors.positions.min(axis=0) - reach, anchors.positions.max(axis=0) + reach
-    x, y = scene_xyz[:, 0], scene_xyz[:, 1]
-    scene_xyz = scene_xyz[(x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1])]
+    x, y = xyz[:, 0], xyz[:, 1]
+    return xyz[(x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1])]
+
+
+def _fewest_points_anchor(anchors: AnchorSet, scene_xyz: np.ndarray) -> int:
+    scene_xyz = _in_anchor_box(anchors, scene_xyz)
     counts = []
     for pos in anchors.positions:
         d2 = (scene_xyz[:, 0] - pos[0]) ** 2 + (scene_xyz[:, 1] - pos[1]) ** 2
@@ -204,12 +208,13 @@ def static_to_moving(
     a further i * d, where d points along the box's longer horizontal axis
     with a seeded sign and a seeded speed drawn from ``SPEED_RANGE``. Older
     parts trail behind the present one, so adjacent centroid offsets all
-    equal d.
+    equal d. ``scene`` is an aggregated cloud or an (N, 3) array of points;
+    only those in ``_in_anchor_box`` count, so that cut of it gives the same.
     """
     if classify_motion(track, threshold) != STATIC:
         raise NotAugmentableError("track is already moving")
     scene_xyz = scene.labeled.cloud.xyz if isinstance(scene, AggregatedCloud) else np.asarray(scene, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed=seed)
     speed = rng.uniform(*SPEED_RANGE)
     sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
     d = sign * speed * _motion_axis(track)

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import shutil
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .imaging import (
     read_image,
 )
 from .sequence import (
+    _frame_reader,
     _parse_calib,
     _scene_renderer,
     _write_frames,
@@ -38,7 +40,6 @@ from .sequence import (
     load_scene_spec,
     load_sequence,
     sequence_length,
-    write_sequence,
 )
 from .voxels import load_voxel_maps, save_voxel_maps
 
@@ -74,24 +75,36 @@ def _reference_frame(requested: int | None, count: int) -> int:
     return requested
 
 
-def _frame_image(seq_dir: Path, index: int):
-    stem = seq_dir / "image_2" / f"{index:06d}"
-    for suffix in _IMAGE_SUFFIXES:
-        candidate = stem.with_suffix(suffix)
-        if candidate.exists():
-            return read_image(candidate)
-    raise InvalidInputError(f"no image for frame {index} under {seq_dir / 'image_2'}")
+class _SequenceImages(Mapping):
+    """Frame index -> its image under image_2/, read at each lookup and kept
+    by no one here, so that the lifting holds one image at a time."""
+
+    def __init__(self, seq_dir, indices):
+        self.image_dir, self.indices = Path(seq_dir) / "image_2", sorted(indices)
+
+    def __getitem__(self, index):
+        if index not in self.indices:
+            raise KeyError(index)
+        stem = self.image_dir / f"{index:06d}"
+        for candidate in map(stem.with_suffix, _IMAGE_SUFFIXES):
+            if candidate.exists():
+                return read_image(candidate)
+        passed_over = imaging._png_note(self.image_dir.glob(f"{stem.name}.png"))
+        raise InvalidInputError(f"no image for frame {index} under {self.image_dir}{passed_over}")
+
+    def __iter__(self):
+        return iter(self.indices)
+
+    def __len__(self):
+        return len(self.indices)
 
 
-def _load_source(args, steps=None, window: int = 0):
+def _load_source(args, steps, window: int):
     """The frames of --sequence that a sampler with ``steps`` and ``window``
-    reads at the reference frame t (``aggregation.sampled_frames``), or every
-    frame when steps is None, by ascending index; and t. Only those are
-    decoded, and no camera is read."""
-    count = sequence_length(args.sequence)
-    t = _reference_frame(args.frame, count)
-    wanted = range(count) if steps is None else sorted(aggregation.sampled_frames(t, steps, window))
-    return load_sequence(args.sequence, indices=wanted), t
+    reads at the reference frame t (``aggregation.sampled_frames``), by
+    ascending index; and t. Only those are decoded, and no camera is read."""
+    t = _reference_frame(args.frame, sequence_length(args.sequence))
+    return load_sequence(args.sequence, indices=sorted(aggregation.sampled_frames(t, steps, window))), t
 
 
 def _corrupted_past(frames, t: int, rate: float, seed: int):
@@ -169,50 +182,70 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    frames, t = _load_source(args)
-    first = min(f.index for f in frames)
-    agg = aggregate_direct(frames, t, t - first)
-    track = extract_track(agg, args.instance)
+    # One decoded frame at a time, in two passes. Pass 1 walks t down to frame 0, as aggregate_direct
+    # orders its parts, and moves into frame t the instance's rows and, for static-to-moving, the scene
+    # points in the box of the anchors around the newest part. Pass 2 writes every frame, rewritten.
+    count, read = _frame_reader(args.sequence)
+    t = _reference_frame(args.frame, count)
+    columns = [(np.empty((0, 3)), np.empty(0), *np.empty((3, 0), np.int64))]
+    poses, scene, anchors = {}, [np.empty((0, 3))], None
+
+    def moved(frame, rows=slice(None)):  # into frame t's coordinates, as aggregate_direct moves them
+        xyz = frame.labeled.cloud.xyz[rows]
+        return xyz if frame.index == t else relative_pose(poses[t], frame.pose).apply(xyz)
+
+    for index in range(t, -1, -1):
+        frame = read(index)
+        labeled, rows = frame.labeled, np.flatnonzero(frame.labeled.instance == args.instance)
+        if index == t or rows.size:
+            poses[index] = frame.pose
+        if rows.size:
+            columns.append((moved(frame, rows), labeled.cloud.intensity[rows], labeled.semantic[rows],
+                            labeled.instance[rows], np.full(rows.size, index)))
+        if args.switch == "static-to-moving":
+            if anchors is None and rows.size:  # the newest part's centroid as InstanceTrack takes it
+                anchors = ring_anchors(np.ascontiguousarray(columns[-1][0]).mean(axis=0), args.ring_radius)
+                scene += [augment._in_anchor_box(anchors, moved(read(newer))) for newer in range(t, index, -1)]
+            if anchors is not None:
+                scene.append(augment._in_anchor_box(anchors, moved(frame)))
+
+    xyz, intensity, semantic, instance, source = map(np.concatenate, zip(*columns))
+    tracked = AggregatedCloud(LabeledCloud(PointCloud(xyz, intensity), semantic, instance), source, source != t, t)
+    track = extract_track(tracked, args.instance)
     if args.switch == "moving-to-static":
         switched_track = moving_to_static(track, args.threshold)
     else:
-        anchors = ring_anchors(track.centroids[0], ring_radius=args.ring_radius)
         switched_track = static_to_moving(
-            track, agg, anchors, seed=args.seed, threshold=args.threshold
+            track, np.concatenate(scene), anchors, seed=args.seed, threshold=args.threshold
         )
-    switched = apply_switch(agg, track, switched_track, threshold=args.threshold)
+    switched = apply_switch(tracked, track, switched_track, threshold=args.threshold)
+    # each tracked frame's new instance rows, moved back here: a helper thread of pass 2 calls no Pose.apply
+    rewritten = {index: (relative_pose(poses[index], poses[t]).apply(part.xyz),
+                         switched.labeled.semantic[switched.source_frame == index])
+                 for index, part in zip(track.frames, switched_track.parts)}
 
-    present = {f.index: f for f in frames}[t]
-    instance_rows = switched.labeled.instance == args.instance
-    out_frames = []
-    for frame in frames:
-        rows = instance_rows & (switched.source_frame == frame.index)
-        if not rows.any():
-            out_frames.append(frame)
-            continue
-        # a frame's rows keep its own point order, so the instance rows align
-        moved = frame.labeled.instance == args.instance
-        back = relative_pose(frame.pose, present.pose)
-        xyz = frame.labeled.cloud.xyz.copy(order="K")  # stays column-stored
-        semantic = frame.labeled.semantic.copy()
-        xyz[moved] = back.apply(switched.labeled.cloud.xyz[rows])
-        semantic[moved] = switched.labeled.semantic[rows]
-        labeled = LabeledCloud(
-            PointCloud(xyz, frame.labeled.cloud.intensity), semantic, frame.labeled.instance
-        )
-        out_frames.append(dataclasses.replace(frame, labeled=labeled))
+    def frame_at(slot):  # a frame's rows keep its own point order, so the instance rows align
+        frame = read(slot)
+        if slot not in rewritten:
+            return frame
+        labeled, is_instance = frame.labeled, frame.labeled.instance == args.instance
+        xyz, semantic = labeled.cloud.xyz.copy(order="K"), labeled.semantic.copy()  # xyz stays column-stored
+        xyz[is_instance], semantic[is_instance] = rewritten[slot]
+        cloud = PointCloud(xyz, labeled.cloud.intensity)
+        return dataclasses.replace(frame, labeled=LabeledCloud(cloud, semantic, labeled.instance))
+
     source, out = Path(args.sequence), Path(args.out)
     # poses.txt rows beside the source's Tr, then its own calib.txt and
     # images: every frame is written, so file indices stay the same
     calib_text = (source / "calib.txt").read_bytes()
     tr = Pose(_parse_calib(source / "calib.txt")["Tr"])
-    write_sequence(out, out_frames, dataclasses.replace(default_camera_calib(), extrinsic=tr))
+    _write_frames(out, count, frame_at, dataclasses.replace(default_camera_calib(), extrinsic=tr))
     (out / "calib.txt").write_bytes(calib_text)
     if (source / "image_2").is_dir() and out.resolve() != source.resolve():
         shutil.copytree(source / "image_2", out / "image_2", dirs_exist_ok=True)
     print(
         f"switched instance {args.instance} {classify_motion(track, args.threshold)} -> "
-        f"{classify_motion(switched_track, args.threshold)}; wrote {len(out_frames)} frames to {args.out}"
+        f"{classify_motion(switched_track, args.threshold)}; wrote {count} frames to {args.out}"
     )
     return 0
 
@@ -224,7 +257,7 @@ def _cmd_lift(args) -> int:
     frames, t = _load_source(args, steps, args.image_window)
     # lift alone projects, so it alone reads a camera: its own images of the loaded frames
     calib = load_camera_calib(args.sequence)
-    images = {f.index: _frame_image(Path(args.sequence), f.index) for f in frames}
+    images = _SequenceImages(args.sequence, (f.index for f in frames))
     lifted = aggregate_image_features(
         frames, images, calib, t, step=args.image_step, window=args.image_window
     )

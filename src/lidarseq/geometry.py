@@ -200,6 +200,14 @@ def _from_checked(cls, *values):
     return obj
 
 
+def _seeded_rng(**seeds) -> np.random.Generator:
+    """``np.random.default_rng`` of the named seed, or seeds in order; a negative one is named."""
+    for name, value in seeds.items():
+        if isinstance(value, (int, np.integer)) and value < 0:
+            raise InvalidInputError(f"{name} must be >= 0, got {value}")
+    return np.random.default_rng(tuple(seeds.values()))  # (s,) draws as s does
+
+
 def _on_two_threads(calls: list) -> list:
     """Call ``calls``, even positions in order on this thread and odd ones on one helper; return
     the results in order. A thread stops at its first error; the lowest-placed one is raised."""

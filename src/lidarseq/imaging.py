@@ -29,7 +29,7 @@ import numpy as np
 
 from .aggregation import _walk
 from .errors import ConfigurationError, FormatError, InvalidInputError
-from .geometry import Pose, _as_points
+from .geometry import Pose, _as_points, _seeded_rng
 from .sequence import CameraCalib, SequenceFrame, _is_whole, _parse_calib
 from .voxels import (
     DEFAULT_VOXEL_SIZE,
@@ -164,8 +164,9 @@ def aggregate_image_features(
     The frames lifted are the ones the point sampler reads with the single
     step ``step``: t, then t - i*step for i = 1..floor(window / step), with
     offsets reaching past the first given frame truncated. ``images`` maps
-    each of those frame indices to its image; one ``calib`` serves every
-    frame. Rows come present frame first, then by ascending offset.
+    each of those frame indices to its image, and may read it at lookup: an
+    image is let go once its frame is lifted, in walk order. One ``calib``
+    serves every frame. Rows come present frame first, then by ascending offset.
     """
     if not _is_whole(step) or step < 1:
         raise InvalidInputError(f"image step must be a positive integer, got {step!r}")
@@ -178,6 +179,7 @@ def aggregate_image_features(
         except KeyError:
             raise InvalidInputError(f"no image provided for frame {frame.index}") from None
         lifted = lift_features(frame, image, calib)
+        del image  # the next lookup may read an image: hold one at a time
         xyz.append(lifted.xyz if pose is None else pose.apply(lifted.xyz))
         features.append(lifted.features)
         source.append(lifted.source_frame)
@@ -316,6 +318,7 @@ def load_camera_calib(seq_dir) -> CameraCalib:
     if not candidates:
         raise InvalidInputError(
             f"{image_dir}: no image ({', '.join(_IMAGE_SUFFIXES)}) to take the image size from"
+            + _png_note(image_dir.glob("*.png"))
         )
     width, height = peek_image_size(candidates[0])
     return CameraCalib(
@@ -327,6 +330,11 @@ def load_camera_calib(seq_dir) -> CameraCalib:
         width=width,
         height=height,
     )
+
+
+def _png_note(paths) -> str:
+    """A note naming the first of ``paths``, PNGs passed over, or "" for none."""
+    return next((f"; passed over {png}: lift reads .ppm, .pgm or .fmap, so convert PNGs" for png in sorted(paths)), "")
 
 
 def read_image(path) -> ImageFeatureMap:
@@ -395,7 +403,7 @@ def synthetic_feature_image(
 
 def _feature_draw(calib: CameraCalib, frame_index: int, channels: int, seed: int) -> np.ndarray:
     """The int64 (H, W, C) draw in [0, 255] behind ``synthetic_feature_image``."""
-    rng = np.random.default_rng((seed, frame_index))
+    rng = _seeded_rng(seed=seed, frame_index=frame_index)
     return rng.integers(0, 256, size=(calib.height, calib.width, channels))
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, InvalidSpecError
-from .geometry import LabeledCloud, Pose, PointCloud, _on_two_threads, compose, invert
+from .geometry import LabeledCloud, Pose, PointCloud, _on_two_threads, _seeded_rng, compose, invert
 
 FRAME_PERIOD_S = 0.1
 
@@ -164,8 +164,10 @@ def _decode_labels(raw: bytes, count: int, path: Path) -> tuple[np.ndarray, np.n
 
 
 def sequence_length(seq_dir) -> int:
-    """Number of frames listed in poses.txt; decodes no frame."""
-    return len(_parse_poses(Path(seq_dir) / "poses.txt"))
+    """Number of frames: the non-blank lines of poses.txt, which ``load_sequence`` parses; reads no frame."""
+    path = Path(seq_dir) / "poses.txt"
+    count = sum(1 for line in path.read_text().splitlines() if line.strip())
+    return count or len(_parse_poses(path))  # no row: the parser's error
 
 
 def load_sequence(
@@ -180,17 +182,7 @@ def load_sequence(
     names the frames one by one. Frames come back by ascending index, each
     once. Passing neither loads every frame listed in poses.txt.
     """
-    seq_dir = Path(seq_dir)
-    pose_rows = _parse_poses(seq_dir / "poses.txt")
-    calib = _parse_calib(seq_dir / "calib.txt")
-    tr = Pose(calib["Tr"])
-    tr_inv = invert(tr)
-
-    count = len(pose_rows)
-    times_path = seq_dir / "times.txt"
-    times = _parse_times(times_path) if times_path.exists() else None
-    if times is not None and len(times) != count:
-        raise FormatError(f"{times_path}: {len(times)} times for {count} frames in poses.txt")
+    count, read = _frame_reader(seq_dir)
     if indices is not None:
         if window is not None:
             raise InvalidInputError("pass a window or frame indices, not both")
@@ -209,9 +201,25 @@ def load_sequence(
                 f"window ({first}, {last}) outside sequence of {count} frames"
             )
         wanted = range(first, last + 1)
+    return [read(idx) for idx in wanted]
 
-    frames = []
-    for idx in wanted:
+
+def _frame_reader(seq_dir) -> tuple[int, Callable[[int], SequenceFrame]]:
+    """The frame count of a sequence directory, whose poses.txt, calib.txt and times.txt are
+    parsed here, once; and ``read(idx)``, which decodes frame idx with numpy, constructors and compose."""
+    seq_dir = Path(seq_dir)
+    pose_rows = _parse_poses(seq_dir / "poses.txt")
+    calib = _parse_calib(seq_dir / "calib.txt")
+    tr = Pose(calib["Tr"])
+    tr_inv = invert(tr)
+
+    count = len(pose_rows)
+    times_path = seq_dir / "times.txt"
+    times = _parse_times(times_path) if times_path.exists() else None
+    if times is not None and len(times) != count:
+        raise FormatError(f"{times_path}: {len(times)} times for {count} frames in poses.txt")
+
+    def read(idx: int) -> SequenceFrame:
         stem = f"{idx:06d}"
         bin_path = seq_dir / "velodyne" / f"{stem}.bin"
         label_path = seq_dir / "labels" / f"{stem}.label"
@@ -222,16 +230,15 @@ def load_sequence(
             raise FormatError(f"{exc.filename}: no such file for frame {idx}") from None
         pose = compose(compose(tr_inv, Pose(pose_rows[idx])), tr)
         stamp = times[idx] if times is not None else idx * FRAME_PERIOD_S
-        frames.append(
-            SequenceFrame(
-                index=idx,
-                labeled=LabeledCloud(cloud, semantic, instance),
-                pose=pose,
-                timestamp=stamp,
-                file_pose=pose_rows[idx],
-            )
+        return SequenceFrame(
+            index=idx,
+            labeled=LabeledCloud(cloud, semantic, instance),
+            pose=pose,
+            timestamp=stamp,
+            file_pose=pose_rows[idx],
         )
-    return frames
+
+    return count, read
 
 
 def _format_matrix(mat: np.ndarray) -> str:
@@ -451,7 +458,7 @@ def _scene_renderer(spec: SyntheticSceneSpec) -> Callable[[int, np.ndarray], Seq
     computes frame k's coordinates into the C-contiguous (3, points_per_frame)
     array ``dst`` and returns the frame. Renders share nothing they write, so
     they may run on several threads."""
-    rng = np.random.default_rng(spec.seed)
+    rng = _seeded_rng(seed=spec.seed)
     quotas = class_point_quotas(spec.classes, spec.points_per_frame)
     instance_budget: dict[int, int] = {}
     for inst in spec.instances:
@@ -688,7 +695,7 @@ def corrupt_labels(frame: SequenceFrame, error_rate: float, seed: int) -> Sequen
     if n_corrupt == 0 or present.shape[0] < 2:
         return frame
 
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed=seed)
     chosen = rng.choice(n, size=n_corrupt, replace=False)
     new_semantic = semantic.copy()
     own_pos = np.searchsorted(present, semantic[chosen])

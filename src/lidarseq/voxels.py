@@ -9,10 +9,10 @@ Every map is made by ``_build``: it packs the coordinates into mixed-radix
 int64 keys over their bounding box (the keys ascend in the canonical order),
 stable-sorts them once, and averages rows that share a key (voxelize,
 downsample) or rejects them (the constructor). The kernel keeps its input's
-coordinates, keys and box. Lookups (gather, shared voxels) are one
+coordinates, keys and box. Shared voxels are looked up with one
 ``np.searchsorted`` per batch in ``VoxelFeatureMap.rows``; coordinates
-outside the box miss unpacked. A kernel tap searches the stored keys
-shifted by the tap's offset in key space, behind one edge test per axis.
+outside the box miss unpacked. Kernel taps and gather corners search keys
+shifted by their offset in key space, behind one edge test per axis.
 A box of 2**62 voxels or more is rejected.
 """
 
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, InvalidInputError
-from .geometry import _as_points, _from_checked
+from .geometry import _as_points, _from_checked, _seeded_rng
 
 DEFAULT_VOXEL_SIZE = 0.05
 
@@ -165,33 +165,40 @@ def gather_trilinear(vmap: VoxelFeatureMap, query_xyz: np.ndarray) -> np.ndarray
     query_xyz = _as_points(query_xyz, what="query points")
     if not np.isfinite(query_xyz).all():
         raise InvalidInputError("query points contain non-finite values")
-    m = query_xyz.shape[0]
-    out = np.zeros((m, vmap.width))
     # Continuous position in "center units": voxel center c sits at u = c.
     u = (query_xyz - vmap.origin) / vmap.voxel_size - 0.5
     base = _as_int64(np.floor(u), query_xyz, "query point")  # base + 1 fits too: no float below 2**63 is within 1 of it
     frac = u - base
-
-    weight_sum = np.zeros(m)
+    # a query reaches the box where each axis of base or base + 1 is in it; there a corner's key
+    # is base's + corner . radix, as a kernel tap's. An empty map's box has room for none.
+    lo, hi, radix, keys = vmap._index
+    near = np.flatnonzero(((base + 1 >= lo) & (base <= hi)).all(axis=1) & (vmap.count > 0))
+    base, frac, out, weight_sum = base[near], frac[near], np.zeros((near.size, vmap.width)), np.zeros(near.size)
+    edges, base_key = (base >= lo, base < hi), (base - lo) @ radix
     for corner in _CORNERS:
-        w = np.ones(m)
+        w = np.ones(near.size)
         for axis in range(3):
             w = w * (frac[:, axis] if corner[axis] else 1.0 - frac[:, axis])
-        rows = vmap.rows(base + corner)
-        found = rows >= 0
+        shifted = base_key + int(np.dot(corner, radix))
+        pos = np.minimum(np.searchsorted(keys, shifted), vmap.count - 1)
+        found = keys[pos] == shifted
+        for axis, step in enumerate(corner):
+            found &= edges[step][:, axis]
         if not found.any():
             continue
-        out[found] += w[found, None] * vmap.features[rows[found]]
+        out[found] += w[found, None] * vmap.features[pos[found]]
         weight_sum[found] += w[found]
     occupied = weight_sum > 0.0
     out[occupied] /= weight_sum[occupied, None]
     out[~occupied] = 0.0
-    return out
+    gathered = np.zeros((query_xyz.shape[0], vmap.width))
+    gathered[near] = out
+    return gathered
 
 
 def seeded_kernel(width: int, seed: int) -> np.ndarray:
     """Deterministic dense 3x3x3 kernel standing in for learned weights."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed=seed)
     return rng.standard_normal((3, 3, 3, width, width)) / np.sqrt(27.0 * width)
 
 

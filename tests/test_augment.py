@@ -15,7 +15,7 @@ from lidarseq.augment import (
     ring_anchors,
     static_to_moving,
 )
-from lidarseq.augment import _fewest_points_anchor
+from lidarseq.augment import _fewest_points_anchor, _in_anchor_box
 from lidarseq.errors import ConfigurationError, InvalidInputError, NotAugmentableError
 from lidarseq.geometry import LabeledCloud, PointCloud
 from lidarseq.sequence import EgoSpec, InstanceSpec, SyntheticSceneSpec, generate_synthetic
@@ -296,6 +296,24 @@ class TestStaticToMoving:
         track = make_track(rng, [(0, 0, 0), (2, 0, 0)])
         with pytest.raises(NotAugmentableError):
             static_to_moving(track, EMPTY_SCENE, ring_anchors((0, 0, 0)))
+
+    def test_negative_seed_is_named(self):
+        track = make_track(np.random.default_rng(19), [(5, 5, 1)] * 3)
+        with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
+            static_to_moving(track, EMPTY_SCENE, ring_anchors((5, 5, 1)), seed=-1)
+
+    def test_a_scene_cut_to_the_anchors_box_picks_the_same_anchor(self):
+        # the CLI keeps only these points of each frame
+        rng = np.random.default_rng(20)
+        track = make_track(rng, [(5, 5, 1)] * 3)
+        anchors = ring_anchors((5, 5, 1))
+        scene = np.concatenate([rng.uniform(-20, 30, size=(3000, 3)), rng.uniform(6, 9, size=(200, 3))])
+        kept = _in_anchor_box(anchors, scene)
+        assert 0 < kept.shape[0] < scene.shape[0]
+        assert _fewest_points_anchor(anchors, kept) == _fewest_points_anchor(anchors, scene)
+        a, b = static_to_moving(track, scene, anchors, seed=3), static_to_moving(track, kept, anchors, seed=3)
+        for part_a, part_b in zip(a.parts, b.parts):
+            assert part_a.xyz.tobytes() == part_b.xyz.tobytes()
 
     def test_anchor_set_validation(self):
         with pytest.raises(InvalidInputError):

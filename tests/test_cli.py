@@ -6,6 +6,7 @@ import math
 import shutil
 import threading
 import tracemalloc
+import weakref
 import zipfile
 from pathlib import Path
 
@@ -27,8 +28,12 @@ from lidarseq.aggregation import (
 from lidarseq.augment import (
     DEFAULT_MOTION_THRESHOLD,
     DEFAULT_RING_RADIUS,
+    apply_switch,
     classify_motion,
     extract_track,
+    moving_to_static,
+    ring_anchors,
+    static_to_moving,
 )
 from lidarseq.cli import main
 from lidarseq.errors import ConfigurationError, InvalidSpecError
@@ -40,7 +45,7 @@ from lidarseq.imaging import (
     load_camera_calib,
     read_image,
 )
-from lidarseq.geometry import Pose
+from lidarseq.geometry import LabeledCloud, PointCloud, Pose, relative_pose
 from lidarseq.sequence import (
     CameraCalib,
     corrupt_labels,
@@ -515,6 +520,134 @@ class TestAggregate:
             assert f"(window {DEFAULT_WINDOW}," in capsys.readouterr().out
 
 
+def _augment_scene(tmp_path, name, frames=6, points=500, velocity=(2.0, 0.0, 0.0), without=(), instance_points=None):
+    """A synthetic sequence whose instance 5 moves at ``velocity`` and is left
+    out of the frames ``without`` (its points keep instance id 0 there)."""
+    instance = {**SPEC["instances"][0], "velocity": list(velocity), "class_id": 252 if any(velocity) else 10,
+                "points": instance_points or max(points // 10, 8)}
+    spec = tmp_path / f"{name}.yaml"
+    spec.write_text(yaml.safe_dump({**SPEC, "frame_count": frames, "points_per_frame": points, "instances": [instance]}))
+    out = tmp_path / name
+    assert main(["synth", str(spec), "--out", str(out)]) == 0
+    for index in without:
+        label = out / "labels" / f"{index:06d}.label"
+        label.write_bytes((np.frombuffer(label.read_bytes(), dtype="<u4") & 0xFFFF).astype("<u4").tobytes())
+    return out
+
+
+def _augment_whole_sequence(source, out, switch, t=None, seed=0):
+    """What augment wrote when it aggregated the whole sequence at t (the
+    command's code before it streamed), for instance 5 and default settings."""
+    frames = load_sequence(source)
+    t = frames[-1].index if t is None else t
+    agg = aggregate_direct(frames, t, t)
+    track = extract_track(agg, 5)
+    if switch == "moving-to-static":
+        new_track = moving_to_static(track)
+    else:
+        new_track = static_to_moving(track, agg, ring_anchors(track.centroids[0]), seed=seed)
+    switched = apply_switch(agg, track, new_track)
+    written = []
+    for frame in frames:
+        rows = (switched.labeled.instance == 5) & (switched.source_frame == frame.index)
+        if rows.any():
+            moved = frame.labeled.instance == 5
+            xyz, semantic = frame.labeled.cloud.xyz.copy(order="K"), frame.labeled.semantic.copy()
+            xyz[moved] = relative_pose(frame.pose, frames[t].pose).apply(switched.labeled.cloud.xyz[rows])
+            semantic[moved] = switched.labeled.semantic[rows]
+            labeled = LabeledCloud(PointCloud(xyz, frame.labeled.cloud.intensity), semantic, frame.labeled.instance)
+            frame = dataclasses.replace(frame, labeled=labeled)
+        written.append(frame)
+    tr = Pose(seqio._parse_calib(source / "calib.txt")["Tr"])
+    write_sequence(out, written, dataclasses.replace(seqio.default_camera_calib(), extrinsic=tr))
+    (out / "calib.txt").write_bytes((source / "calib.txt").read_bytes())
+    shutil.copytree(source / "image_2", out / "image_2")
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestAugmentStreams:
+    """augment decodes one frame at a time and writes what aggregating the
+    whole sequence at t gave."""
+
+    CASES = [  # scene (frames, velocity, frames without the instance), switch, extra options
+        ((6, (2.0, 0.0, 0.0), ()), "moving-to-static", []),
+        ((6, (0.0, 0.0, 0.0), ()), "static-to-moving", ["--seed", "11"]),
+        ((6, (2.0, 0.0, 0.0), ()), "moving-to-static", ["--frame", "3"]),
+        # the newest part is older than t: the frames walked before it are read again
+        ((12, (0.0, 0.0, 0.0), (11, 10, 6)), "static-to-moving", ["--seed", "4"]),
+        ((12, (1.5, 0.5, 0.0), (11, 3)), "moving-to-static", []),
+        ((200, (0.0, 0.0, 0.0), ()), "static-to-moving", []),
+        ((200, (0.3, 0.0, 0.0), ()), "moving-to-static", []),
+    ]
+
+    @pytest.mark.parametrize("scene, switch, options", CASES)
+    def test_output_equals_the_whole_sequence_path(self, tmp_path, scene, switch, options):
+        frames, velocity, without = scene
+        seq = _augment_scene(tmp_path, "seq", frames, 300, velocity, without)
+        got, want = tmp_path / "got", tmp_path / "want"
+        assert main(["augment", "--sequence", str(seq), "--instance", "5", "--switch", switch,
+                     *options, "--out", str(got)]) == 0
+        settings = dict(zip(options[::2], options[1::2]))
+        _augment_whole_sequence(seq, want, switch, t=int(settings.get("--frame", frames - 1)),
+                                seed=int(settings.get("--seed", 0)))
+        got_tree, want_tree = _tree(got), _tree(want)
+        assert sorted(got_tree) == sorted(want_tree)
+        assert [name for name in want_tree if got_tree[name] != want_tree[name]] == []
+
+    def test_each_pass_decodes_a_frame_once(self, tmp_path, monkeypatch):
+        # the instance is left out of frames 9 and 8
+        moving = _augment_scene(tmp_path, "moving", 10, without=(9, 8))
+        parked = _augment_scene(tmp_path, "parked", 10, velocity=(0.0, 0.0, 0.0), without=(9, 8))
+        reads, read_bytes = [], seqio._read_bytes
+        monkeypatch.setattr(seqio, "_read_bytes", lambda path: reads.append(Path(path).name) or read_bytes(path))
+        for seq, switch, t, again in ((moving, "moving-to-static", 9, set()), (moving, "moving-to-static", 5, set()),
+                                      (parked, "static-to-moving", 9, {9, 8})):
+            reads.clear()
+            assert main(["augment", "--sequence", str(seq), "--instance", "5", "--frame", str(t),
+                         "--switch", switch, "--out", str(tmp_path / f"out-{switch}{t}")]) == 0
+            # pass 1 decodes frames t..0 and pass 2 every frame; static-to-moving
+            # decodes the frames walked before the newest part once more
+            counts = {index: reads.count(f"{index:06d}.bin") for index in range(10)}
+            assert counts == {k: (k <= t) + 1 + (k in again) for k in range(10)}
+            assert reads.count(f"{0:06d}.label") == counts[0]
+
+    def test_every_pose_apply_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        seq = _augment_scene(tmp_path, "seq", 8, velocity=(0.0, 0.0, 0.0))
+        callers, apply = [], Pose.apply
+
+        def recording(pose, xyz, out=None):
+            callers.append(threading.get_ident())
+            return apply(pose, xyz, out=out)
+
+        monkeypatch.setattr(Pose, "apply", recording)
+        assert main(["augment", "--sequence", str(seq), "--instance", "5", "--switch", "static-to-moving",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert callers and set(callers) == {threading.get_ident()}
+
+    def test_peak_memory_does_not_grow_with_frame_count(self, tmp_path):
+        # a memory bound, not a timing: augment holds a frame or two and the
+        # instance's track; aggregating 64 frames would hold 64 frames' rows
+        points = 20_000
+
+        def peak(frames: int) -> int:
+            seq = _augment_scene(tmp_path, f"seq{frames}", frames, points, (3.0, 0.0, 0.0), instance_points=8)
+            tracemalloc.start()
+            try:
+                assert main(["augment", "--sequence", str(seq), "--instance", "5", "--switch",
+                             "moving-to-static", "--out", str(tmp_path / f"out{frames}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm-up: the first call's imports and caches are not frames
+        small, large = peak(16), peak(64)
+        frame_coords = points * 3 * 8
+        assert large < small + 2 * frame_coords, (small, large)
+
+
 class TestAugment:
     def test_moving_to_static_round_trips_through_disk(self, seq_dir, tmp_path):
         out = tmp_path / "switched"
@@ -709,6 +842,61 @@ class TestLift:
         monkeypatch.setattr(imaging, "load_camera_calib", no_camera)
         assert main(["aggregate", "--sequence", str(seq)]) == 0
         assert main(["bench", "--sequence", str(seq), "--repeats", "1"]) == 0
+
+    def test_a_missing_past_image_names_its_frame(self, seq_dir, capsys):
+        # --frame 5, step 2, window 4 lifts frames 5, 3 and 1
+        (seq_dir / "image_2" / "000003.ppm").unlink()
+        assert main(["lift", "--sequence", str(seq_dir), "--image-step", "2", "--image-window", "4"]) == 2
+        assert capsys.readouterr().err == f"error: no image for frame 3 under {seq_dir / 'image_2'}\n"
+
+    @pytest.mark.parametrize("missing, named", [((1, 3), 3), ((1, 5), 5), ((3, 5), 5)])
+    def test_of_two_missing_images_the_first_in_walk_order_is_named(self, seq_dir, capsys, missing, named):
+        # the walk lifts t first, then by ascending offset: 5, 3, 1
+        for index in missing:
+            (seq_dir / "image_2" / f"{index:06d}.ppm").unlink()
+        assert main(["lift", "--sequence", str(seq_dir), "--image-step", "2", "--image-window", "4"]) == 2
+        assert capsys.readouterr().err == f"error: no image for frame {named} under {seq_dir / 'image_2'}\n"
+
+    def test_png_images_are_named(self, seq_dir, capsys):
+        image_dir, note = seq_dir / "image_2", ": lift reads .ppm, .pgm or .fmap, so convert PNGs"
+        (image_dir / "000003.ppm").rename(image_dir / "000003.png")
+        assert main(["lift", "--sequence", str(seq_dir), "--image-step", "2", "--image-window", "4"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no image for frame 3 under {image_dir}; passed over {image_dir / '000003.png'}{note}\n"
+        )
+        for ppm in image_dir.glob("*.ppm"):  # as KITTI ships image_2/
+            ppm.rename(ppm.with_suffix(".png"))
+        assert main(["lift", "--sequence", str(seq_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {image_dir}: no image (.ppm, .pgm, .fmap) to take the image size from; "
+            f"passed over {image_dir / '000000.png'}{note}\n"
+        )
+
+    def test_one_image_is_alive_when_the_next_is_read(self, seq_dir, monkeypatch):
+        alive, read_image = [], cli.read_image
+
+        def reading(path):
+            assert [ref for ref in alive if ref() is not None] == []
+            image = read_image(path)
+            alive.append(weakref.ref(image))
+            return image
+
+        monkeypatch.setattr(cli, "read_image", reading)
+        assert main(["lift", "--sequence", str(seq_dir), "--image-step", "1", "--image-window", "5",
+                     "--voxel-size", "0.4"]) == 0
+        assert len(alive) == 6
+
+    def test_out_equals_a_run_on_a_dict_of_every_image(self, seq_dir, tmp_path, monkeypatch):
+        argv = ["lift", "--sequence", str(seq_dir), "--image-step", "2", "--image-window", "4",
+                "--voxel-size", "0.4", "--seed", "3", "--out"]
+        assert main(argv + [str(tmp_path / "lazy.npz")]) == 0
+
+        def every_image(seq, indices):
+            return {index: read_image(Path(seq) / "image_2" / f"{index:06d}.ppm") for index in indices}
+
+        monkeypatch.setattr(cli, "_SequenceImages", every_image)
+        assert main(argv + [str(tmp_path / "dict.npz")]) == 0
+        assert (tmp_path / "lazy.npz").read_bytes() == (tmp_path / "dict.npz").read_bytes()
 
     def test_seeded_lift_is_reproducible(self, seq_dir, tmp_path):
         out_a, out_b = tmp_path / "a.npz", tmp_path / "b.npz"
@@ -923,6 +1111,28 @@ class TestWindowedLoading:
             ({16, 28, 40}, {40, 28, 16}),
             (set(range(24, 41)), set()),
         ]
+
+
+class TestPosesParsedOnce:
+    def test_each_command_parses_poses_txt_once(self, seq_dir, tmp_path, monkeypatch):
+        calls, parse = [], seqio._parse_poses
+        monkeypatch.setattr(seqio, "_parse_poses", lambda path: calls.append(path) or parse(path))
+        commands = [
+            ["aggregate", "--sequence", str(seq_dir), "--out", str(tmp_path / "cloud.npz")],
+            ["lift", "--sequence", str(seq_dir), "--image-step", "2", "--voxel-size", "0.4"],
+            ["augment", "--sequence", str(seq_dir), "--instance", "5", "--switch", "moving-to-static",
+             "--out", str(tmp_path / "switched")],
+            ["bench", "--sequence", str(seq_dir), "--repeats", "1"],
+        ]
+        for argv in commands:
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == [seq_dir / "poses.txt"], argv[0]
+
+    def test_an_empty_poses_txt_keeps_its_error(self, seq_dir, capsys):
+        (seq_dir / "poses.txt").write_text("\n\n")
+        assert main(["aggregate", "--sequence", str(seq_dir), "--frame", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {seq_dir / 'poses.txt'}: no pose rows\n"
 
 
 class TestWindowedOutputs:

@@ -320,6 +320,10 @@ class TestFuseToVoxels:
         with pytest.raises(InvalidInputError):
             fuse_to_voxels(agg, scales=0)
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
+            fuse_to_voxels(self.agg(), seed=-1)
+
 
 class TestTemporalMultimodalGather:
     def test_concatenates_per_scale_gathers(self):
@@ -457,6 +461,12 @@ class TestImageFiles:
             _write_synthetic_image(got, calib, index, seed=5)
             assert got.read_bytes() == want.read_bytes()
             assert read_image(got).features.shape == (7, 13, 3)
+
+    def test_negative_seed_or_frame_index_is_named(self):
+        with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
+            synthetic_feature_image(CALIB, 4, seed=-1)
+        with pytest.raises(InvalidInputError, match=r"^frame_index must be >= 0, got -2$"):
+            synthetic_feature_image(CALIB, -2, seed=0)
 
     def test_synthetic_images_are_deterministic(self):
         a = synthetic_feature_image(CALIB, 4, seed=7)

@@ -543,6 +543,10 @@ class TestCorruptLabels:
         assert out.labeled.cloud is frame.labeled.cloud
         assert np.array_equal(out.labeled.instance, frame.labeled.instance)
 
+    def test_negative_seed_is_named(self, frame):
+        with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
+            corrupt_labels(frame, 0.5, -1)
+
     def test_seed_determinism(self, frame):
         a = corrupt_labels(frame, 0.3, seed=9)
         b = corrupt_labels(frame, 0.3, seed=9)

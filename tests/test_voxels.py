@@ -323,6 +323,36 @@ class TestGatherTrilinear:
         got = gather_trilinear(vmap, queries)
         assert np.abs(got - 1.0).max() < 1e-12
 
+    def test_bit_identical_to_a_row_lookup_per_corner(self):
+        # the gather searches packed keys; this is the same sum with each corner's rows looked up
+        def by_rows(vmap, query):
+            u = (query - vmap.origin) / vmap.voxel_size - 0.5
+            base = np.floor(u).astype(np.int64)
+            frac = u - base
+            out, weight_sum = np.zeros((query.shape[0], vmap.width)), np.zeros(query.shape[0])
+            for corner in itertools.product((0, 1), repeat=3):
+                w = np.ones(query.shape[0])
+                for axis in range(3):
+                    w = w * (frac[:, axis] if corner[axis] else 1.0 - frac[:, axis])
+                rows = vmap.rows(base + np.array(corner))
+                found = rows >= 0
+                out[found] += w[found, None] * vmap.features[rows[found]]
+                weight_sum[found] += w[found]
+            occupied = weight_sum > 0.0
+            out[occupied] /= weight_sum[occupied, None]
+            out[~occupied] = 0.0
+            return out
+
+        rng = np.random.default_rng(23)
+        empty = VoxelFeatureMap(0.5, np.zeros(3), np.zeros((0, 3), np.int64), np.zeros((0, 2)))
+        for vmap in [random_map(rng, count=n, width=3) for n in (1, 30, 300)] + [flat_map(rng, 2), empty]:
+            queries = np.concatenate([
+                rng.uniform(-5, 5, size=(500, 3)) * vmap.voxel_size + vmap.origin,  # in and around the box
+                rng.uniform(-1e6, 1e6, size=(20, 3)),  # far outside: base - lo wraps nowhere it counts
+            ])
+            got = gather_trilinear(vmap, queries)
+            assert got.tobytes() == by_rows(vmap, queries).tobytes()
+
     def test_rejects_queries_that_are_not_n_by_3(self):
         vmap = random_map(np.random.default_rng(14))
         with pytest.raises(InvalidInputError, match=r"query points must have shape \(N, 3\), got \(3, 2\)"):
@@ -412,6 +442,10 @@ class TestFixedKernel:
     def test_seeded_kernel_is_deterministic(self):
         assert np.array_equal(seeded_kernel(4, 11), seeded_kernel(4, 11))
         assert not np.array_equal(seeded_kernel(4, 11), seeded_kernel(4, 12))
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
+            seeded_kernel(4, -1)
 
     def test_width_mismatch_is_rejected(self):
         rng = np.random.default_rng(13)
