@@ -211,6 +211,14 @@ def _walk(frames: Sequence[SequenceFrame], t: int, steps, window: int):
         yield by_index[index], relative_pose(present.pose, by_index[index].pose)
 
 
+def _take_into(column, rows, out) -> None:
+    """``out[...] = column[rows]``, straight into ``out`` (mode="raise" would buffer it) where np.take can."""
+    if column.dtype == out.dtype:
+        np.take(column, rows, out=out, mode="clip")
+    else:  # np.take writes no other dtype: a decoded frame's narrow column is gathered as it is, then cast
+        out[...] = column[rows]
+
+
 def _fill_columns(parts, outs) -> None:
     """Write each part's intensity, labels and source tags into its slice of ``outs`` (numpy only)."""
     for part, frame, _, rows, step_tags in parts:
@@ -219,7 +227,7 @@ def _fill_columns(parts, outs) -> None:
             if rows is None:
                 out[part] = column
             else:
-                np.take(column, rows, out=out[part], mode="clip")
+                _take_into(column, rows, out[part])
         outs[3][part] = frame.index
         outs[4][part] = step_tags
 
@@ -260,7 +268,7 @@ def _aggregate(
     def select(frame, pose):
         semantic = frame.labeled.semantic
         if default_step is None or (pose is not None and not uniform):
-            code = np.take(table, semantic + 1, mode="clip")
+            code = np.take(table, np.add(semantic, 1, dtype=np.intp), mode="clip")  # 65535 + 1 in uint16 is 0
         if default_step is None and (code == 2 * default).any():
             missing = sorted(np.unique(semantic[code == 2 * default]).tolist())
             raise ConfigurationError(
@@ -275,8 +283,8 @@ def _aggregate(
         if uniform:
             return frame, pose, None, tags[0]
         if (keep & (thresholds > 0)).any():
-            # range in the sweep's own sensor frame, once per frame, in norm's order
-            x, y, z = frame.labeled.cloud.xyz.T
+            # range in the sweep's own sensor frame, once per frame, in norm's order and in float64
+            x, y, z = frame.labeled.cloud.xyz.T.astype(np.float64, copy=False)
             code += np.sqrt(x * x + y * y + z * z) < thresholds[code]
         rows = None if keep.all() else np.flatnonzero(keep[code])
         if rows is None or rows.shape[0]:
@@ -295,9 +303,9 @@ def _aggregate(
     def move():
         for part, frame, pose, rows, _ in parts:
             xyz, dst = frame.labeled.cloud.xyz, outs[0][part]
-            if rows is not None:  # per axis into a contiguous row; mode="raise" would buffer it
+            if rows is not None:  # per axis into a contiguous row
                 for src_axis, dst_axis in zip(xyz.T, dst.T):
-                    np.take(src_axis, rows, out=dst_axis, mode="clip")
+                    _take_into(src_axis, rows, dst_axis)
             if pose is None:  # the present sweep, as it is
                 dst[...] = xyz
             else:  # moved straight into its slice, in place after np.take

@@ -184,7 +184,8 @@ def _cmd_aggregate(args) -> int:
 def _cmd_augment(args) -> int:
     # One decoded frame at a time, in two passes. Pass 1 walks t down to frame 0, as aggregate_direct
     # orders its parts, and moves into frame t the instance's rows and, for static-to-moving, the scene
-    # points in the box of the anchors around the newest part. Pass 2 writes every frame, rewritten.
+    # points in the box of the anchors around the newest part; then it decodes the frames after t, so
+    # that a broken one is reported before any file is written. Pass 2 writes every frame, rewritten.
     count, read = _frame_reader(args.sequence)
     t = _reference_frame(args.frame, count)
     columns = [(np.empty((0, 3)), np.empty(0), *np.empty((3, 0), np.int64))]
@@ -203,11 +204,13 @@ def _cmd_augment(args) -> int:
             columns.append((moved(frame, rows), labeled.cloud.intensity[rows], labeled.semantic[rows],
                             labeled.instance[rows], np.full(rows.size, index)))
         if args.switch == "static-to-moving":
-            if anchors is None and rows.size:  # the newest part's centroid as InstanceTrack takes it
-                anchors = ring_anchors(np.ascontiguousarray(columns[-1][0]).mean(axis=0), args.ring_radius)
+            if anchors is None and rows.size:  # the newest part's centroid as InstanceTrack takes it, in float64
+                anchors = ring_anchors(np.ascontiguousarray(columns[-1][0], np.float64).mean(axis=0), args.ring_radius)
                 scene += [augment._in_anchor_box(anchors, moved(read(newer))) for newer in range(t, index, -1)]
             if anchors is not None:
                 scene.append(augment._in_anchor_box(anchors, moved(frame)))
+    for index in range(t + 1, count):
+        read(index)
 
     xyz, intensity, semantic, instance, source = map(np.concatenate, zip(*columns))
     tracked = AggregatedCloud(LabeledCloud(PointCloud(xyz, intensity), semantic, instance), source, source != t, t)

@@ -1,6 +1,7 @@
 """Rigid-body poses and point-cloud containers used by every pipeline stage.
 
-All geometry runs in double precision. Poses are stored exactly as KITTI
+All geometry computes in double precision; a cloud may hold a sequence
+file's float32 and uint16 columns as read. Poses are stored exactly as KITTI
 writes them: a row-major 3x4 block ``[R | t]`` mapping sensor coordinates
 into the parent frame. A cloud's (N, 3) ``xyz`` is the ``.T`` view of a
 C-contiguous (3, N) array, one contiguous row per axis; files stay row-major.
@@ -24,9 +25,14 @@ ORTHONORMAL_STRICT_TOL = 1e-9
 _APPLY_BLOCK = 16384  # rows per Pose.apply block; see there
 
 
-def _as_points(values, dtype=np.float64, what: str = "points") -> np.ndarray:
-    """``values`` as an (N, 3) array of ``dtype``; any other shape is rejected."""
-    arr = np.asarray(values, dtype=dtype)
+def _as(values, dtype, kept=None) -> np.ndarray:
+    """``values`` as an array of ``dtype``, or as given when they hold ``kept`` (a file's float32, uint16)."""
+    return np.asarray(values, dtype=kept if kept is not None and getattr(values, "dtype", None) == kept else dtype)
+
+
+def _as_points(values, dtype=np.float64, what: str = "points", kept=None) -> np.ndarray:
+    """``values`` as an (N, 3) array of ``dtype`` (or ``kept``, see ``_as``); any other shape is rejected."""
+    arr = _as(values, dtype, kept)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise InvalidInputError(f"{what} must have shape (N, 3), got {arr.shape}")
     return arr
@@ -91,9 +97,10 @@ class Pose:
         never a matmul (BLAS sums in a shape-dependent order), so no batching
         changes a row's bits. A block is computed in full before it is written
         to ``out`` (new and column-stored when None; float64 of ``xyz``'s
-        shape), so ``out`` may be ``xyz`` itself.
+        shape), so ``out`` may be ``xyz`` itself. Float32 ``xyz`` is read as
+        it is; every product is float64, so it moves as its float64 copy would.
         """
-        xyz = _as_points(xyz)
+        xyz = _as_points(xyz, kept=np.float32)
         if out is None:
             out = np.empty((3, xyz.shape[0])).T
         elif out.dtype != np.float64 or out.shape != xyz.shape:
@@ -134,14 +141,14 @@ def relative_pose(target: Pose, source: Pose) -> Pose:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable point set: (N, 3) column-stored coordinates plus per-point intensity."""
+    """Immutable point set: (N, 3) column-stored coordinates plus intensity, float32 (as read) or float64."""
 
     xyz: np.ndarray
     intensity: np.ndarray
 
     def __post_init__(self):
-        xyz = np.ascontiguousarray(_as_points(self.xyz).T).T  # copies only row-major input; own view
-        intensity = np.asarray(self.intensity, dtype=np.float64).reshape(-1)
+        xyz = np.ascontiguousarray(_as_points(self.xyz, kept=np.float32).T).T  # copies only row-major input
+        intensity = _as(self.intensity, np.float64, np.float32).reshape(-1)
         if intensity.shape[0] != xyz.shape[0]:
             raise InvalidInputError(
                 f"intensity length {intensity.shape[0]} != point count {xyz.shape[0]}"
@@ -166,15 +173,15 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class LabeledCloud:
-    """Point cloud plus per-point semantic class and instance id (0 = none)."""
+    """Point cloud plus semantic class and instance id (0 = none) per point, uint16 (as read) or int64."""
 
     cloud: PointCloud
     semantic: np.ndarray
     instance: np.ndarray
 
     def __post_init__(self):
-        semantic = np.asarray(self.semantic, dtype=np.int64).reshape(-1)
-        instance = np.asarray(self.instance, dtype=np.int64).reshape(-1)
+        semantic = _as(self.semantic, np.int64, np.uint16).reshape(-1)
+        instance = _as(self.instance, np.int64, np.uint16).reshape(-1)
         if semantic.shape[0] != self.cloud.count or instance.shape[0] != self.cloud.count:
             raise InvalidInputError(
                 f"label lengths ({semantic.shape[0]}, {instance.shape[0]}) "

@@ -107,7 +107,7 @@ def project_to_image(points, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray
     depth, and the mask of points with depth > DEFAULT_Z_MIN landing inside
     the image bounds. uv rows for out-of-FOV points are zeroed, not meaningful.
     """
-    xyz = _as_points(points)
+    xyz = _as_points(points, kept=np.float32)  # Pose.apply reads float32 as it is
     cam = calib.extrinsic.apply(xyz)
     depth = cam[:, 2].copy()
     valid = depth > DEFAULT_Z_MIN
@@ -132,8 +132,8 @@ def lift_features(
 ) -> PointImageFeatures:
     """Give each in-FOV point the features of its nearest pixel.
 
-    Point coordinates stay in the frame's own LiDAR frame; the caller decides
-    where to move them.
+    Point coordinates stay in the frame's own LiDAR frame, float64 whatever
+    the frame holds; the caller decides where to move them.
     """
     if (image.width, image.height) != (calib.width, calib.height):
         raise ConfigurationError(
@@ -145,7 +145,7 @@ def lift_features(
     rows, cols = _nearest_pixels(uv[in_fov], image.width, image.height)
     count = int(in_fov.sum())
     return PointImageFeatures(
-        xyz[in_fov],
+        xyz[in_fov].astype(np.float64, copy=False),
         image.features[rows, cols],
         np.full(count, frame.index, dtype=np.int64),
     )

@@ -140,7 +140,7 @@ def _decode_points(raw: bytes, path: Path) -> PointCloud:
             f"{path}: size {len(raw)} bytes is not a multiple of "
             f"{POINT_RECORD_BYTES}-byte point records"
         )
-    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).T.astype(np.float64, order="C")
+    data = np.ascontiguousarray(np.frombuffer(raw, dtype="<f4").reshape(-1, 4).T)  # float32, as the file
     try:
         return PointCloud(data[:3].T, data[3])
     except InvalidInputError as exc:
@@ -158,9 +158,8 @@ def _decode_labels(raw: bytes, count: int, path: Path) -> tuple[np.ndarray, np.n
         raise FormatError(
             f"{path}: {packed.shape[0]} labels for {count} points"
         )
-    semantic = (packed & 0xFFFF).astype(np.int64)
-    instance = (packed >> 16).astype(np.int64)
-    return semantic, instance
+    fields = packed.view("<u2").reshape(-1, 2).T  # the low half of each little-endian record first
+    return fields[0].copy(), fields[1].copy()
 
 
 def sequence_length(seq_dir) -> int:
@@ -314,8 +313,8 @@ def _write_frames(seq_dir: Path, count: int, frame_at, calib: CameraCalib) -> No
         data[:, 3] = cloud.intensity
         (seq_dir / "velodyne" / f"{stem}.bin").write_bytes(data.tobytes())
 
-        packed = (frame.labeled.semantic | frame.labeled.instance << 16).astype("<u4")
-        (seq_dir / "labels" / f"{stem}.label").write_bytes(packed.tobytes())
+        packed = frame.labeled.semantic.astype("<u4") | frame.labeled.instance.astype("<u4") << 16
+        (seq_dir / "labels" / f"{stem}.label").write_bytes(packed.astype("<u4", copy=False).tobytes())
 
         # a loaded frame's verbatim row, unless it was read beside another Tr
         row = compose(compose(tr, frame.pose), tr_inv).matrix

@@ -3,6 +3,8 @@ brute-force aggregation oracle the implementation is checked against."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from lidarseq.aggregation import (
@@ -48,6 +50,14 @@ def random_labeled(
         rng.choice(np.asarray(classes, np.int64), size=count),
         rng.choice(np.asarray(instance_ids, np.int64), size=count),
     )
+
+
+def widened(frame):
+    """A twin of ``frame`` whose columns are float64 and int64, however the frame holds them."""
+    cloud, labeled = frame.labeled.cloud, frame.labeled
+    twin = LabeledCloud(PointCloud(cloud.xyz.astype(np.float64), cloud.intensity.astype(np.float64)),
+                        labeled.semantic.astype(np.int64), labeled.instance.astype(np.int64))
+    return dataclasses.replace(frame, labeled=twin)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,8 @@ from lidarseq.sequence import (
 )
 from lidarseq.voxels import DEFAULT_VOXEL_SIZE, load_voxel_maps
 
+from helpers import widened
+
 SPEC = {
     "frame_count": 6,
     "points_per_frame": 500,
@@ -608,11 +610,36 @@ class TestAugmentStreams:
             reads.clear()
             assert main(["augment", "--sequence", str(seq), "--instance", "5", "--frame", str(t),
                          "--switch", switch, "--out", str(tmp_path / f"out-{switch}{t}")]) == 0
-            # pass 1 decodes frames t..0 and pass 2 every frame; static-to-moving
-            # decodes the frames walked before the newest part once more
+            # pass 1 decodes frames t..0, then the frames after t, and pass 2 every
+            # frame; static-to-moving decodes the frames walked before the newest part once more
             counts = {index: reads.count(f"{index:06d}.bin") for index in range(10)}
-            assert counts == {k: (k <= t) + 1 + (k in again) for k in range(10)}
+            assert counts == {k: 2 + (k in again) for k in range(10)}
             assert reads.count(f"{0:06d}.label") == counts[0]
+
+    def test_a_broken_frame_after_t_is_reported_before_any_file_is_written(self, tmp_path, capsys):
+        seq = _augment_scene(tmp_path, "seq", 8, velocity=(0.0, 0.0, 0.0))
+        (seq / "velodyne" / "000006.bin").write_bytes(b"abc")
+        out = tmp_path / "out"
+        assert main(["augment", "--sequence", str(seq), "--frame", "4", "--instance", "5",
+                     "--switch", "static-to-moving", "--out", str(out)]) == 2
+        assert "000006.bin: size 3 bytes" in capsys.readouterr().err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize("velocity, switch", [((2.0, 0.0, 0.0), "moving-to-static"),
+                                                  ((0.0, 0.0, 0.0), "static-to-moving")])
+    def test_output_equals_that_of_widened_frames(self, tmp_path, monkeypatch, velocity, switch):
+        seq = _augment_scene(tmp_path, "seq", 8, 400, velocity)
+        argv = ["augment", "--sequence", str(seq), "--instance", "5", "--frame", "6", "--switch", switch]
+        assert main([*argv, "--out", str(tmp_path / "narrow")]) == 0
+        frame_reader = cli._frame_reader
+
+        def widening_reader(seq_dir):  # the frames as float64 and int64 twins
+            count, read = frame_reader(seq_dir)
+            return count, lambda index: widened(read(index))
+
+        monkeypatch.setattr(cli, "_frame_reader", widening_reader)
+        assert main([*argv, "--out", str(tmp_path / "wide")]) == 0
+        assert _tree(tmp_path / "narrow") == _tree(tmp_path / "wide")
 
     def test_every_pose_apply_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
         seq = _augment_scene(tmp_path, "seq", 8, velocity=(0.0, 0.0, 0.0))

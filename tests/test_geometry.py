@@ -232,6 +232,32 @@ class TestPointContainers:
         assert np.shares_memory(PointCloud(columns, np.zeros(4)).xyz, columns)
         assert columns.flags.writeable  # frozen as a view of its own
 
+    @pytest.mark.parametrize("given, kept", [(np.float64, np.float64), (np.float32, np.float32),
+                                              (np.float16, np.float64), (np.int64, np.float64)])
+    def test_cloud_keeps_float32_and_widens_the_rest_to_float64(self, given, kept):
+        xyz, intensity = np.arange(12).reshape(4, 3).astype(given), np.zeros(4, given)
+        cloud = PointCloud(xyz, intensity)
+        assert cloud.xyz.dtype == cloud.intensity.dtype == kept
+        assert np.array_equal(cloud.xyz, xyz) and cloud.xyz.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("given, kept", [(np.int64, np.int64), (np.uint16, np.uint16),
+                                              (np.int32, np.int64), (np.uint32, np.int64)])
+    def test_labeled_keeps_uint16_and_widens_the_rest_to_int64(self, given, kept):
+        labeled = LabeledCloud(PointCloud(np.zeros((3, 3)), np.zeros(3)), np.arange(3, dtype=given),
+                               np.full(3, 7, given))
+        assert labeled.semantic.dtype == labeled.instance.dtype == kept
+        assert labeled.semantic.tolist() == [0, 1, 2] and labeled.instance.tolist() == [7, 7, 7]
+
+    def test_float32_points_move_as_their_float64_copy(self):
+        rng = np.random.default_rng(4)
+        pose, xyz = random_pose(rng), (rng.normal(size=(_APPLY_BLOCK + 9, 3)) * 40).astype(np.float32)
+        want = pose.apply(xyz.astype(np.float64))
+        for layout in (xyz, np.ascontiguousarray(xyz.T).T):
+            moved = pose.apply(layout)
+            assert moved.dtype == np.float64 and moved.tobytes() == want.tobytes()
+            out = np.empty((3, xyz.shape[0])).T
+            assert pose.apply(layout, out=out) is out and out.tobytes() == want.tobytes()
+
     def test_arrays_are_frozen(self):
         xyz = np.zeros((2, 3))
         cloud = PointCloud(xyz, np.zeros(2))

@@ -185,6 +185,28 @@ class TestLabelField:
         write_sequence(tmp_path / "b", loaded)
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
+    def test_loaded_instance_ids_round_trip(self, tmp_path):
+        # a loaded frame's ids are uint16, where instance << 16 would be 0
+        frames = list(generate_synthetic(demo_spec()))
+        frames[3] = with_ids(frames[3], [4, 13], [300, 65534])
+        write_sequence(tmp_path / "a", frames)
+        loaded = load_sequence(tmp_path / "a")
+        write_sequence(tmp_path / "b", loaded)
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+        for before, after in zip(frames, load_sequence(tmp_path / "b"), strict=True):
+            assert after.labeled.instance.tolist() == before.labeled.instance.tolist()
+            assert after.labeled.semantic.tolist() == before.labeled.semantic.tolist()
+        assert set(frames[3].labeled.instance.tolist()) == {0, 1, 2, 300, 65534}
+
+    def test_loaded_frames_hold_the_file_dtypes_in_20_bytes_per_point(self, tmp_path):
+        write_sequence(tmp_path / "seq", generate_synthetic(demo_spec()))
+        for frame in load_sequence(tmp_path / "seq"):
+            cloud, labeled = frame.labeled.cloud, frame.labeled
+            arrays = (cloud.xyz, cloud.intensity, labeled.semantic, labeled.instance)
+            assert [a.dtype for a in arrays] == [np.float32, np.float32, np.uint16, np.uint16]
+            assert sum(a.nbytes for a in arrays) == 20 * frame.count
+            assert cloud.xyz.T.flags.c_contiguous and labeled.semantic.flags.c_contiguous
+
 
 class TestFormatErrors:
     @pytest.fixture()
