@@ -17,8 +17,9 @@ points of a distance-split group the near step), and a point at offset k is
 kept when its step divides k. The calling thread walks first, so a missing
 frame is reported before any class is checked; then it and one helper pick
 the kept rows of every other walked frame, raising the first error in walk
-order. Each part is written once into its slice of one (8, N) block: the
-calling thread moves kept coordinates, the helper writes the other columns.
+order. Each part is written once into its slice of one block, seven float64
+rows (labels and source frame viewed as int64) and an int32 row of step tags:
+the calling thread moves kept coordinates, the helper writes the other columns.
 Both passes run on ``geometry._on_two_threads``, the one runner, which also
 renders and writes synthetic scenes. Rows come out present sweep first,
 then past sweeps by ascending offset.
@@ -143,12 +144,15 @@ class AggregatedCloud:
 
     labeled: LabeledCloud
     source_frame: np.ndarray  # (N,) original frame index per point
-    source_step: np.ndarray   # (N,) step that sampled the point; 0 = present
+    source_step: np.ndarray   # (N,) int32 step that sampled the point; 0 = present
     reference_frame: int
 
     def __post_init__(self):
         source_frame = np.asarray(self.source_frame, dtype=np.int64).reshape(-1)
-        source_step = np.asarray(self.source_step, dtype=np.int64).reshape(-1)
+        steps = np.asarray(self.source_step, dtype=np.int64).reshape(-1)
+        source_step = steps.astype(np.int32)
+        if (source_step != steps).any():  # the cast wrapped a value
+            raise InvalidInputError(f"source_step {steps[source_step != steps][0]} lies outside int32")
         if source_frame.shape[0] != self.labeled.count or source_step.shape[0] != self.labeled.count:
             raise InvalidInputError("source tag lengths do not match the point count")
         source_frame.flags.writeable = False
@@ -245,8 +249,9 @@ def _aggregate(
     default slot after the groups, and whether it lies closer than its
     group's distance split. A past point is kept when its code's step
     divides the offset. ``default_step=None`` makes any unmapped class in
-    the window an error. The output columns are views of one (8, N) float64
-    block, so keeping any one column keeps the whole block alive.
+    the window an error. The output columns are views of one block, seven
+    float64 rows and an int32 row of step tags (60 B a point), so keeping any
+    one column keeps the whole block alive.
     """
     if not _is_whole(window) or window < 0:
         raise InvalidInputError(f"window must be a non-negative integer, got {window!r}")
@@ -258,7 +263,8 @@ def _aggregate(
         table[[c + 1 for c in group.classes]] = 2 * slot
     unmapped_step = INFINITE_STEP if default_step is None else default_step
     steps = np.array([[g.step, g.near_step()] for g in groups] + [[unmapped_step] * 2]).ravel()
-    tags = np.where(np.isfinite(steps), steps, 0).astype(np.int64)
+    fits = steps <= np.iinfo(np.int32).max  # a wider step, or inf, gets tag 0 and must keep no point
+    tags = np.where(fits, steps, 0).astype(np.int32)
     splits = [g.distance_split.threshold_m if g.distance_split else 0.0 for g in groups]
     thresholds = np.array(splits + [0.0]).repeat(2)
     uniform = bool((steps == steps[0]).all())
@@ -280,6 +286,9 @@ def _aggregate(
         keep = (t - frame.index) % steps == 0  # per code; the infinite step never divides
         if not keep.any():  # walked only for the unmapped-class check
             return None
+        if (keep & ~fits).any():
+            too_wide = steps[keep & ~fits][0]
+            raise InvalidInputError(f"step {too_wide:.0f} samples frame {frame.index}; no int32 tag holds it")
         if uniform:
             return frame, pose, None, tags[0]
         if (keep & (thresholds > 0)).any():
@@ -296,8 +305,9 @@ def _aggregate(
     # pass 2: each part written once into its slice of one block; a helper
     # thread fills the other columns while this thread moves xyz
     starts = np.cumsum([0] + [f.count if rows is None else rows.shape[0] for f, _, rows, _ in picks]).tolist()
-    block = np.empty((8, starts[-1]))  # huge pages once it reaches numpy's 4 MB advice bound
-    outs = (block[:3].T, block[3], *(row.view(np.int64) for row in block[4:]))
+    block = np.empty((15, starts[-1]), np.int32)  # huge pages once it reaches numpy's 4 MB advice bound
+    wide = block[:14].reshape(7, 2 * starts[-1]).view(np.float64)  # xyz, intensity, labels, source frames
+    outs = (wide[:3].T, wide[3], *(row.view(np.int64) for row in wide[4:]), block[14])
     parts = [(slice(start, stop), *pick) for pick, start, stop in zip(picks, starts, starts[1:])]
 
     def move():

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .aggregation import (
     GroupDivision,
@@ -126,7 +127,7 @@ def run_bench(
                     division=division.name if kind == "fsa" and division else "-",
                     points=points,
                     bytes=points * POINT_RECORD_BYTES,
-                    millis=statistics.median(durations) * 1000.0,
+                    millis=float(np.median(durations)) * 1000.0,
                 )
             )
     return BenchReport(tuple(rows))

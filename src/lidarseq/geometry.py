@@ -98,7 +98,8 @@ class Pose:
         changes a row's bits. A block is computed in full before it is written
         to ``out`` (new and column-stored when None; float64 of ``xyz``'s
         shape), so ``out`` may be ``xyz`` itself. Float32 ``xyz`` is read as
-        it is; every product is float64, so it moves as its float64 copy would.
+        it is, each axis of a block widened into one reused float64 row (faster
+        than the ufunc's own cast), so it moves as its float64 copy would.
         """
         xyz = _as_points(xyz, kept=np.float32)
         if out is None:
@@ -107,12 +108,19 @@ class Pose:
             raise InvalidInputError(f"out must be float64 of shape {xyz.shape}, got {out.dtype} {out.shape}")
         rot, trans, src, dst = self.rotation, self.translation[:, None], xyz.T, out.T
         acc, term = np.empty((2, 3, min(xyz.shape[0], _APPLY_BLOCK)))  # one allocation: glibc reuses it
+        wide = np.empty(acc.shape[1]) if xyz.dtype == np.float32 else None
+
+        def f64(axis):  # each product reads the row before the next axis is widened into it
+            if wide is not None:
+                wide[: axis.shape[0]] = axis
+            return axis if wide is None else wide[: axis.shape[0]]
+
         for lo in range(0, xyz.shape[0], _APPLY_BLOCK):
             x, y, z = src[:, lo : lo + _APPLY_BLOCK]
             acc, term = acc[:, : x.shape[0]], term[:, : x.shape[0]]  # short only for the last block
-            np.multiply(rot[:, 0:1], x, out=acc)
-            acc += np.multiply(rot[:, 1:2], y, out=term)
-            acc += np.multiply(rot[:, 2:3], z, out=term)
+            np.multiply(rot[:, 0:1], f64(x), out=acc)
+            acc += np.multiply(rot[:, 1:2], f64(y), out=term)
+            acc += np.multiply(rot[:, 2:3], f64(z), out=term)
             acc += trans
             dst[:, lo : lo + x.shape[0]] = acc
         return out

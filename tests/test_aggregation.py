@@ -9,6 +9,7 @@ import dataclasses
 import io
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -432,7 +433,7 @@ class TestAssembly:
     of independently picked rows is the reference."""
 
     @staticmethod
-    def concatenated(frames, t, window, groups, default_step):
+    def concatenated(frames, t, window, groups, default_step, tag_dtype=np.int32):
         by_index = {f.index: f for f in frames}
         step_of = {c: (g.step, g.near_step(), g.distance_split) for g in groups for c in g.classes}
         fallback = (default_step, default_step, None)
@@ -443,7 +444,7 @@ class TestAssembly:
                 continue
             xyz, labeled = frame.labeled.cloud.xyz, frame.labeled
             if offset == 0:
-                parts.append((frame, np.ones(frame.count, bool), xyz, np.zeros(frame.count, np.int64)))
+                parts.append((frame, np.ones(frame.count, bool), xyz, np.zeros(frame.count, tag_dtype)))
                 continue
             steps = np.array([
                 near if split is not None and np.linalg.norm(point) < split.threshold_m else far
@@ -453,7 +454,7 @@ class TestAssembly:
             keep = np.isfinite(steps) & (offset % np.where(np.isfinite(steps), steps, 1) == 0)
             if keep.any():
                 pose = relative_pose(by_index[t].pose, frame.pose)
-                parts.append((frame, keep, pose.apply(xyz[keep]), steps[keep].astype(np.int64)))
+                parts.append((frame, keep, pose.apply(xyz[keep]), steps[keep].astype(tag_dtype)))
         return {
             "xyz": np.concatenate([moved for _, _, moved, _ in parts]),
             "intensity": np.concatenate([f.labeled.cloud.intensity[k] for f, k, _, _ in parts]),
@@ -561,7 +562,8 @@ class TestOutputsFromCheckedFrames:
         for name, column in columns.items():
             if name != "xyz":
                 assert column.ndim == 1 and column.flags.c_contiguous, name
-                assert column.dtype == (np.float64 if name == "intensity" else np.int64), name
+                want = {"intensity": np.float64, "source_step": np.int32}.get(name, np.int64)
+                assert column.dtype == want, name
                 assert not column.flags.writeable, name
             saved, fresh = io.BytesIO(), io.BytesIO()
             np.save(saved, column)
@@ -573,6 +575,58 @@ class TestOutputsFromCheckedFrames:
         xyz[7, 1] = np.nan
         with pytest.raises(InvalidInputError, match="non-finite"):
             PointCloud(xyz, frames[3].labeled.cloud.intensity)
+
+
+class TestStepTags:
+    """Step tags are int32 wherever a cloud is made, and no tag wraps."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        return scene(frame_count=10, points=400, classes={c: 1 / 19 for c in range(1, 20)})
+
+    @staticmethod
+    def labeled(count=3):
+        return LabeledCloud(PointCloud(np.zeros((count, 3)), np.zeros(count)),
+                            np.zeros(count, np.int64), np.zeros(count, np.int64))
+
+    @pytest.mark.parametrize("strategy", ["direct", "stepped", *DIVISION_PRESET_NAMES])
+    def test_every_strategy_tags_in_int32_the_int64_steps(self, frames, strategy):
+        aggregate, division = strategy_and_division(strategy, window=8)
+        got = aggregate(frames, 9).source_step
+        want = TestAssembly.concatenated(frames, 9, 8, division.groups, division.default_step, np.int64)
+        assert got.dtype == np.int32 and want["source_step"].dtype == np.int64
+        assert np.array_equal(got, want["source_step"]) and (got > 0).any()
+
+    @pytest.mark.parametrize("given", [np.array([0, 4, 2**31 - 1]), np.array([0, 4, 7], np.uint16),
+                                       np.array([-2**31, 0, 1], np.int64), np.array([False, True, True])],
+                             ids=["int64", "uint16", "int64-low", "bool"])
+    def test_user_tags_come_out_int32(self, given):
+        agg = AggregatedCloud(self.labeled(), [5, 4, 3], given, 5)
+        assert agg.source_step.dtype == np.int32 and not agg.source_step.flags.writeable
+        assert agg.source_step.tolist() == given.astype(np.int64).tolist()
+
+    @pytest.mark.parametrize("value", [2**40, 2**31, -2**31 - 1])
+    def test_user_tags_outside_int32_are_rejected_not_wrapped(self, value):
+        with pytest.raises(InvalidInputError, match=f"source_step {value} lies outside int32"):
+            AggregatedCloud(self.labeled(), [5, 4, 3], np.array([0, value, 1]), 5)
+
+    def test_a_step_past_int32_neither_wraps_nor_warns(self, frames):
+        division = GroupDivision((ClassGroup(frozenset({1}), 2**31, DistanceSplit(12.0)),
+                                  ClassGroup(frozenset({9}), 2)), window=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agg = aggregate_fsa(frames, 9, division)
+        assert sorted(set(agg.source_step.tolist())) == [0, 2]
+        never = GroupDivision((ClassGroup(frozenset({1}), INFINITE_STEP), ClassGroup(frozenset({9}), 2)), window=8)
+        assert agg.count == aggregate_fsa(frames, 9, never).count
+
+    def test_a_step_past_int32_that_samples_a_frame_is_an_error(self, frames):
+        # a kept row would need the tag 2**31, which int32 cannot hold
+        far = [frames[0], dataclasses.replace(frames[1], index=2**31)]
+        with pytest.raises(InvalidInputError, match=f"step {2**31} samples frame 0"):
+            aggregate_stepped(far, 2**31, 2**31, 2**31)
+        near = [frames[0], dataclasses.replace(frames[1], index=2**30)]
+        assert aggregate_stepped(near, 2**30, 2**30, 2**30).source_step[-1] == 2**30
 
 
 def strategy_and_division(strategy: str, window: int):
@@ -623,7 +677,7 @@ class TestBlockEdges:
                 "xyz": moved, "intensity": labeled.cloud.intensity[keep],
                 "semantic": labeled.semantic[keep], "instance": labeled.instance[keep],
                 "source_frame": np.full(int(keep.sum()), frame.index),
-                "source_step": steps[keep].astype(np.int64),
+                "source_step": steps[keep].astype(np.int32),
             })
         return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 

@@ -351,6 +351,7 @@ class TestAggregate:
         assert np.array_equal(dump["semantic"], want.labeled.semantic)
         assert np.array_equal(dump["source_frame"], want.source_frame)
         assert np.array_equal(dump["source_step"], want.source_step)
+        assert dump["source_step"].dtype == np.dtype("<i4") == want.source_step.dtype
         assert int(dump["reference_frame"]) == 5
         # column-stored in memory, row-major on disk
         with zipfile.ZipFile(out) as archive, archive.open("xyz.npy") as member:
@@ -1214,6 +1215,7 @@ class TestWindowedOutputs:
             assert np.array_equal(dump["instance"], want.labeled.instance)
             assert np.array_equal(dump["source_frame"], want.source_frame)
             assert np.array_equal(dump["source_step"], want.source_step)
+            assert dump["source_step"].dtype == np.dtype("<i4")
 
     def test_rejected_steps_and_windows_keep_their_errors(self, seq, capsys):
         cases = [

@@ -248,9 +248,10 @@ class TestPointContainers:
         assert labeled.semantic.dtype == labeled.instance.dtype == kept
         assert labeled.semantic.tolist() == [0, 1, 2] and labeled.instance.tolist() == [7, 7, 7]
 
-    def test_float32_points_move_as_their_float64_copy(self):
+    @pytest.mark.parametrize("rows", [7, _APPLY_BLOCK + 9, 2 * _APPLY_BLOCK + 7])  # none a multiple of the block
+    def test_float32_points_move_as_their_float64_copy(self, rows):
         rng = np.random.default_rng(4)
-        pose, xyz = random_pose(rng), (rng.normal(size=(_APPLY_BLOCK + 9, 3)) * 40).astype(np.float32)
+        pose, xyz = random_pose(rng), (rng.normal(size=(rows, 3)) * 40).astype(np.float32)
         want = pose.apply(xyz.astype(np.float64))
         for layout in (xyz, np.ascontiguousarray(xyz.T).T):
             moved = pose.apply(layout)

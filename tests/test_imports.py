@@ -171,8 +171,10 @@ def test_one_thread_runner_makes_every_thread():
 
 
 def test_the_cli_loads_no_executor_or_logging():
-    # concurrent.futures, which loads logging, adds about 8 ms to every CLI start (-X importtime)
-    probe = "import sys, lidarseq.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    # concurrent.futures, which loads logging, adds about 8 ms to every CLI start (-X importtime),
+    # and statistics, which loads fractions and decimal, 3-4.5 ms
+    forbidden = "{'concurrent.futures', 'logging', 'statistics'}"
+    probe = f"import sys, lidarseq.cli; print(sorted({forbidden} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
