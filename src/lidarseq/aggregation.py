@@ -37,9 +37,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .geometry import LabeledCloud, PointCloud, _from_checked, _on_two_threads, relative_pose
+from .geometry import LabeledCloud, PointCloud, _from_checked, _is_whole, _on_two_threads, relative_pose
 from .sequence import (
-    LABEL_FIELD_SIZE, SequenceFrame, _entries, _from_mapping, _integer, _is_whole, _list, _number, _read_yaml,
+    LABEL_FIELD_SIZE, SequenceFrame, _check_fields, _entries, _from_mapping, _integer, _list, _number, _read_yaml,
 )
 
 INFINITE_STEP = math.inf
@@ -68,9 +68,10 @@ class DistanceSplit:
     near_step_multiplier: int = 2
 
     def __post_init__(self):
-        if not (self.threshold_m > 0):
+        _check_fields(self, ConfigurationError, threshold_m=_number, near_step_multiplier=_integer)
+        if not self.threshold_m > 0:
             raise ConfigurationError("distance threshold must be positive")
-        if not _is_whole(self.near_step_multiplier) or self.near_step_multiplier < 1:
+        if self.near_step_multiplier < 1:
             raise ConfigurationError("near_step_multiplier must be a positive integer")
 
 
@@ -120,9 +121,9 @@ class GroupDivision:
         object.__setattr__(self, "groups", tuple(self.groups))
         if not self.groups:
             raise ConfigurationError("a division needs at least one group")
-        if not _is_whole(self.window) or self.window < 1:
+        _check_fields(self, ConfigurationError, window=_integer)
+        if self.window < 1:
             raise ConfigurationError(f"window must be a positive integer, got {self.window!r}")
-        object.__setattr__(self, "window", int(self.window))
         if self.default_step is not None:
             object.__setattr__(self, "default_step", _check_step(self.default_step, "default_step"))
         seen: dict[int, int] = {}
@@ -435,12 +436,9 @@ def _parse_step(raw):
     return raw
 
 
-_split = _from_mapping(DistanceSplit, {"threshold_m": _number, "near_step_multiplier": _integer},
-                       "distance_split")
-_group = _from_mapping(ClassGroup, {  # ClassGroup checks the class ids and the step
-    "classes": _list, "step": _parse_step,
-    "distance_split": lambda raw: None if raw is None else _split(raw),
-}, "group")
+_split = _from_mapping(DistanceSplit, "distance_split")
+_group = _from_mapping(ClassGroup, "group", classes=_list, step=_parse_step,
+                       distance_split=lambda raw: None if raw is None else _split(raw))
 
 
 def _groups(items) -> tuple[ClassGroup, ...]:
@@ -449,10 +447,7 @@ def _groups(items) -> tuple[ClassGroup, ...]:
     return _entries(_group, items, "group", ConfigurationError)
 
 
-_division = _from_mapping(
-    GroupDivision, {"groups": _groups, "window": _integer, "default_step": _parse_step, "name": str},
-    "top-level",
-)
+_division = _from_mapping(GroupDivision, "top-level", groups=_groups, default_step=_parse_step, name=str)
 
 
 def load_division(path) -> GroupDivision:

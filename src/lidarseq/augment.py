@@ -21,7 +21,7 @@ from .geometry import LabeledCloud, PointCloud, _from_checked, _seeded_rng
 DEFAULT_MOTION_THRESHOLD = 0.2  # meters of centroid travel across the track
 SPEED_RANGE = (0.2, 1.0)  # meters per frame-step
 DEFAULT_RING_RADIUS = 3.0
-DEFAULT_COVERAGE_RADIUS = 2.0
+COVERAGE_RADIUS = 2.0  # meters: radius of the vertical cylinder each anchor covers
 
 # SemanticKITTI movable classes and their moving-state counterparts.
 DEFAULT_CLASS_PAIRS: dict[int, int] = {
@@ -85,10 +85,9 @@ class InstanceTrack:
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Candidate drop positions, each owning a vertical-cylinder coverage."""
+    """Candidate drop positions, each owning a vertical cylinder of radius ``COVERAGE_RADIUS``."""
 
     positions: np.ndarray
-    coverage_radius: float = DEFAULT_COVERAGE_RADIUS
 
     def __post_init__(self):
         positions = np.ascontiguousarray(np.asarray(self.positions, dtype=np.float64))
@@ -96,8 +95,6 @@ class AnchorSet:
             raise InvalidInputError("anchors must be a non-empty (K, 3) array")
         if not np.isfinite(positions).all():
             raise InvalidInputError("anchor positions must be finite")
-        if not self.coverage_radius > 0:
-            raise InvalidInputError("coverage radius must be positive")
         positions.setflags(write=False)
         object.__setattr__(self, "positions", positions)
 
@@ -179,7 +176,7 @@ def _motion_axis(track: InstanceTrack) -> np.ndarray:
 def _in_anchor_box(anchors: AnchorSet, xyz: np.ndarray) -> np.ndarray:
     """The rows of (N, 3) ``xyz`` in the anchors' box widened by twice the coverage
     radius: only they can be covered; so wide a margin leaves rounding no edge to cut."""
-    reach = 2 * anchors.coverage_radius
+    reach = 2 * COVERAGE_RADIUS
     lo, hi = anchors.positions.min(axis=0) - reach, anchors.positions.max(axis=0) + reach
     x, y = xyz[:, 0], xyz[:, 1]
     return xyz[(x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1])]
@@ -190,7 +187,7 @@ def _fewest_points_anchor(anchors: AnchorSet, scene_xyz: np.ndarray) -> int:
     counts = []
     for pos in anchors.positions:
         d2 = (scene_xyz[:, 0] - pos[0]) ** 2 + (scene_xyz[:, 1] - pos[1]) ** 2
-        counts.append(int((d2 <= anchors.coverage_radius**2).sum()))
+        counts.append(int((d2 <= COVERAGE_RADIUS**2).sum()))
     return int(np.argmin(counts))  # argmin takes the lowest index on ties
 
 

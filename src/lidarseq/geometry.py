@@ -9,6 +9,8 @@ C-contiguous (3, N) array, one contiguous row per axis; files stay row-major.
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 from dataclasses import dataclass, fields
 
@@ -215,12 +217,21 @@ def _from_checked(cls, *values):
     return obj
 
 
+def _is_whole(value) -> bool:
+    """The one integer rule: a finite integral number, and not a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value) and int(value) == value
+
+
 def _seeded_rng(**seeds) -> np.random.Generator:
-    """``np.random.default_rng`` of the named seed, or seeds in order; a negative one is named."""
+    """``np.random.default_rng`` of the named seed, or seeds in order; one that breaks the
+    integer rule or is negative is named."""
     for name, value in seeds.items():
-        if isinstance(value, (int, np.integer)) and value < 0:
+        if not _is_whole(value):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
             raise InvalidInputError(f"{name} must be >= 0, got {value}")
-    return np.random.default_rng(tuple(seeds.values()))  # (s,) draws as s does
+    return np.random.default_rng(tuple(map(int, seeds.values())))  # (s,) draws as s does
 
 
 def _on_two_threads(calls: list) -> list:

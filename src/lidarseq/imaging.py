@@ -29,8 +29,8 @@ import numpy as np
 
 from .aggregation import _walk
 from .errors import ConfigurationError, FormatError, InvalidInputError
-from .geometry import Pose, _as_points, _seeded_rng
-from .sequence import CameraCalib, SequenceFrame, _is_whole, _parse_calib
+from .geometry import Pose, _as_points, _is_whole, _seeded_rng
+from .sequence import CameraCalib, SequenceFrame, _parse_calib
 from .voxels import (
     DEFAULT_VOXEL_SIZE,
     VoxelFeatureMap,
@@ -205,13 +205,15 @@ def fuse_to_voxels(
     ``seed + level``; coarser scales halve the grid. Deterministic for a
     given seed.
     """
+    if not _is_whole(scales):
+        raise InvalidInputError(f"scales must be an integer, got {scales!r}")
     if scales < 1:
         raise InvalidInputError(f"need at least one scale, got {scales}")
     if agg.count == 0:
         raise InvalidInputError("cannot fuse an empty feature cloud")
     current = voxelize(agg.xyz, agg.features, voxel_size)
     pyramid = []
-    for level in range(scales):
+    for level in range(int(scales)):
         if level:
             current = downsample(pyramid[-1])
         pyramid.append(apply_fixed_kernel(current, seeded_kernel(current.width, seed + level)))
@@ -312,7 +314,7 @@ def load_camera_calib(seq_dir) -> CameraCalib:
     entries = _parse_calib(seq_dir / "calib.txt")
     if "P2" not in entries:
         raise FormatError(f"{seq_dir / 'calib.txt'}: missing P2 entry")
-    p2 = entries["P2"]
+    p2 = entries["P2"].tolist()  # Python floats, as an error shows them
     image_dir = seq_dir / "image_2"
     candidates = sorted(p for p in image_dir.glob("*") if p.suffix in _IMAGE_SUFFIXES)
     if not candidates:
@@ -321,15 +323,10 @@ def load_camera_calib(seq_dir) -> CameraCalib:
             + _png_note(image_dir.glob("*.png"))
         )
     width, height = peek_image_size(candidates[0])
-    return CameraCalib(
-        fx=float(p2[0, 0]),
-        fy=float(p2[1, 1]),
-        cx=float(p2[0, 2]),
-        cy=float(p2[1, 2]),
-        extrinsic=Pose(entries["Tr"]),
-        width=width,
-        height=height,
-    )
+    try:
+        return CameraCalib(p2[0][0], p2[1][1], p2[0][2], p2[1][2], Pose(entries["Tr"]), width, height)
+    except InvalidInputError as exc:
+        raise FormatError(f"{seq_dir / 'calib.txt'}: {exc}") from None
 
 
 def _png_note(paths) -> str:

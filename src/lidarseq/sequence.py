@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, InvalidSpecError
-from .geometry import LabeledCloud, Pose, PointCloud, _on_two_threads, _seeded_rng, compose, invert
+from .geometry import LabeledCloud, Pose, PointCloud, _is_whole, _on_two_threads, _seeded_rng, compose, invert
 
 FRAME_PERIOD_S = 0.1
 
@@ -43,6 +43,56 @@ POINT_RECORD_BYTES = 16  # four little-endian float32 per point
 LABEL_RECORD_BYTES = 4
 # Semantic ids fill the low 16 bits of a label record, instance ids the high 16.
 LABEL_FIELD_SIZE = 1 << 16
+
+
+def _integer(value) -> int:
+    if not _is_whole(value):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value) -> float:
+    """The one number rule: a finite real number, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise TypeError(f"must be finite, got {value!r}")
+    return float(value)
+
+
+def _list(value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"must be a list, got {value!r}")
+    return list(value)
+
+
+def _vector(value) -> tuple[float, float, float]:
+    if len(_list(value)) != 3:
+        raise TypeError(f"must be a list of three numbers, got {value!r}")
+    return tuple(map(_number, value))
+
+
+def _label_id(value) -> int:
+    if 0 <= _integer(value) < LABEL_FIELD_SIZE:
+        return int(value)
+    raise TypeError(f"must lie in the 16-bit label field [0, {LABEL_FIELD_SIZE - 1}], got {value!r}")
+
+
+def _class_fractions(value) -> dict[int, float]:
+    if not isinstance(value, Mapping) or not all(map(_is_whole, value)):
+        raise TypeError(f"must map integer class ids to fractions, got {value!r}")
+    return {_label_id(cid): _number(fraction) for cid, fraction in value.items()}
+
+
+def _check_fields(spec, error, **rules) -> None:
+    """Each named field of a dataclass, however it was built, through its rule,
+    the one a config file's key of that name follows; the field keeps the value
+    the rule returns, and a failure is ``error`` naming the field."""
+    for name, rule in rules.items():
+        try:
+            object.__setattr__(spec, name, rule(getattr(spec, name)))
+        except TypeError as exc:
+            raise error(f"{name} {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -58,6 +108,8 @@ class CameraCalib:
     height: int
 
     def __post_init__(self):
+        _check_fields(self, InvalidInputError, fx=_number, fy=_number, cx=_number, cy=_number,
+                      width=_integer, height=_integer)
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidInputError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
@@ -252,6 +304,7 @@ class CameraSpec:  # holds the one default camera size
     height: int = 48
 
     def __post_init__(self):
+        _check_fields(self, InvalidSpecError, width=_integer, height=_integer)
         for key in ("width", "height"):
             if getattr(self, key) < 1:
                 raise InvalidSpecError(f"{key} must be positive, got {getattr(self, key)}")
@@ -357,7 +410,8 @@ class InstanceSpec:
     instance_id: int | None = None
 
     def __post_init__(self):
-        _check_fields(self, points=_integer, center=_numbers, size=_numbers, velocity=_numbers)
+        _check_fields(self, InvalidSpecError, class_id=_label_id, points=_integer, center=_vector, size=_vector,
+                      velocity=_vector, instance_id=lambda iid: iid if iid is None else _label_id(iid))
 
 
 @dataclass(frozen=True)
@@ -367,7 +421,7 @@ class EgoSpec:
     yaw_rate_deg: float = 0.0  # degrees per second
 
     def __post_init__(self):
-        _check_fields(self, start=_numbers, velocity=_numbers, yaw_rate_deg=_number)
+        _check_fields(self, InvalidSpecError, start=_vector, velocity=_vector, yaw_rate_deg=_number)
 
 
 @dataclass(frozen=True)
@@ -389,8 +443,8 @@ class SyntheticSceneSpec:
     extent: float = 40.0
 
     def __post_init__(self):
-        _check_fields(self, frame_count=_integer, points_per_frame=_integer, seed=_integer, extent=_number,
-                      classes=lambda classes: _numbers(classes.values()))
+        _check_fields(self, InvalidSpecError, frame_count=_integer, points_per_frame=_integer, seed=_integer,
+                      extent=_number, classes=_class_fractions)
         if self.frame_count < 1:
             raise InvalidSpecError("frame_count must be >= 1")
         if self.seed < 0:
@@ -543,92 +597,34 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> list[SequenceFrame]:
     return _on_two_threads([partial(render, k, block[k]) for k in range(spec.frame_count)])
 
 
-def _is_whole(value) -> bool:
-    """The one integer rule: a finite integral number, and not a bool."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and math.isfinite(value) and int(value) == value
-
-
-def _integer(value) -> int:
-    if not _is_whole(value):
-        raise TypeError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value) -> float:
-    """The one number rule: a finite real number, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise TypeError(f"must be finite, got {value!r}")
-    return float(value)
-
-
-def _numbers(values) -> list[float]:
-    return [_number(value) for value in values]
-
-
-def _check_fields(spec, **rules) -> None:
-    """The spec file's rule for each named field of a spec however it was
-    built; a failure names the field as the file reader does."""
-    for name, rule in rules.items():
-        try:
-            rule(getattr(spec, name))
-        except TypeError as exc:
-            raise InvalidSpecError(f"{name} {exc}") from None
-
-
-def _list(value) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"must be a list, got {value!r}")
-    return list(value)
-
-
-def _vector(value) -> tuple[float, float, float]:
-    if len(_list(value)) != 3:
-        raise TypeError(f"must be a list of three numbers, got {value!r}")
-    return tuple(map(_number, value))
-
-
-def _label_id(value) -> int:
-    if 0 <= _integer(value) < LABEL_FIELD_SIZE:
-        return int(value)
-    raise TypeError(f"must lie in the 16-bit label field [0, {LABEL_FIELD_SIZE - 1}], got {value!r}")
-
-
-def _class_fractions(value) -> dict[int, float]:
-    if not isinstance(value, Mapping) or not all(map(_is_whole, value)):
-        raise TypeError(f"must map integer class ids to fractions, got {value!r}")
-    return {_label_id(cid): _number(fraction) for cid, fraction in value.items()}
-
-
-def _from_mapping(spec_type, convert: Mapping, what: str):
-    """Converter of a mapping to ``spec_type``: each key given goes through its
-    converter, whose TypeError, or error inside a nested mapping, the key
-    prefixes; an absent key keeps the dataclass default, and a key with no
-    converter is an error."""
+def _from_mapping(spec_type, what: str, **nested):
+    """Builder of ``spec_type`` from a mapping of its field names. It parses
+    structure only: unknown and missing keys, and each key of ``nested``
+    through its parser (a list, a nested mapping, a step string), whose
+    TypeError, or error inside a nested mapping, the key prefixes;
+    ``spec_type`` checks every value. An absent key keeps the dataclass default."""
+    known = sorted(f.name for f in fields(spec_type))
 
     def build(raw):
         if not isinstance(raw, Mapping):
             raise InvalidSpecError(f"expected a mapping of {what} keys, got {raw!r}")
-        unknown = sorted(str(key) for key in raw if key not in convert)
+        unknown = sorted(str(key) for key in raw if key not in known)
         if unknown:
-            raise InvalidSpecError(
-                f"unknown {what} key {unknown[0]!r}; known keys: {', '.join(sorted(convert))}"
-            )
+            raise InvalidSpecError(f"unknown {what} key {unknown[0]!r}; known keys: {', '.join(known)}")
         for f in fields(spec_type):
             if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
                 raise InvalidSpecError(f"missing {what} key {f.name!r}")
-        given = {}
+        given = dict(raw)
         for key, value in raw.items():
             try:
-                given[key] = convert[key](value)
+                if key in nested:
+                    given[key] = nested[key](value)
             except TypeError as exc:
                 raise InvalidSpecError(f"{key} {exc}") from None
-            except InvalidSpecError as exc:  # a list's entries name themselves
+            except ValueError as exc:  # a list's entries name themselves
                 if not isinstance(value, Mapping):
                     raise
-                raise InvalidSpecError(f"{key}: {exc}") from None
+                raise type(exc)(f"{key}: {exc}") from None
         return spec_type(**given)
 
     return build
@@ -654,15 +650,11 @@ def _entries(build, items, what: str, error) -> tuple:
     return tuple(built)
 
 
-_instance = _from_mapping(InstanceSpec, {"class_id": _label_id, "points": _integer, "center": _vector,
-                          "size": _vector, "velocity": _vector, "instance_id": _label_id}, "instance")
-_scene_spec = _from_mapping(SyntheticSceneSpec, {
-    "frame_count": _integer, "points_per_frame": _integer, "seed": _integer, "extent": _number,
-    "classes": _class_fractions,
-    "instances": lambda items: _entries(_instance, _list(items), "instance", InvalidSpecError),
-    "ego": _from_mapping(EgoSpec, {"start": _vector, "velocity": _vector, "yaw_rate_deg": _number}, "ego"),
-    "camera": _from_mapping(CameraSpec, {"width": _integer, "height": _integer}, "camera"),
-}, "top-level")
+_instance = _from_mapping(InstanceSpec, "instance")
+_scene_spec = _from_mapping(
+    SyntheticSceneSpec, "top-level", ego=_from_mapping(EgoSpec, "ego"), camera=_from_mapping(CameraSpec, "camera"),
+    instances=lambda items: _entries(_instance, _list(items), "instance", InvalidSpecError),
+)
 
 
 def load_scene_spec(path) -> SyntheticSceneSpec:

@@ -5,6 +5,7 @@ import pytest
 
 from lidarseq.aggregation import AggregatedCloud, aggregate_direct
 from lidarseq.augment import (
+    COVERAGE_RADIUS,
     DEFAULT_CLASS_PAIRS,
     AnchorSet,
     InstanceTrack,
@@ -186,8 +187,8 @@ class TestMovingToStatic:
 
 
 class TestStaticToMoving:
-    def anchors_at(self, *positions, radius=2.0):
-        return AnchorSet(np.array(positions, dtype=np.float64), radius)
+    def anchors_at(self, *positions):
+        return AnchorSet(np.array(positions, dtype=np.float64))
 
     def test_constant_offset_from_the_chosen_anchor(self):
         track = make_track(np.random.default_rng(8), [(5, 5, 1)] * 4)
@@ -229,7 +230,7 @@ class TestStaticToMoving:
 
     def test_anchor_matches_a_brute_force_scan(self):
         def brute_force(anchors, xyz):
-            r2 = anchors.coverage_radius**2
+            r2 = COVERAGE_RADIUS**2
             counts = [int((((xyz[:, 0] - p[0]) ** 2 + (xyz[:, 1] - p[1]) ** 2) <= r2).sum())
                       for p in anchors.positions]
             return counts.index(min(counts))  # the lowest index on ties
@@ -243,9 +244,10 @@ class TestStaticToMoving:
             far = rng.uniform(-2000, 2000, size=(200, 3))
             xyz = np.vstack(crowds + [far])
             assert _fewest_points_anchor(spaced, xyz) == brute_force(spaced, xyz)
-        # points exactly on the coverage radius count, one ulp beyond do not:
+        # points exactly on the coverage radius (2 m) count, one ulp beyond do not:
         # anchor 1 holds two of the first, anchor 2 three of the second
-        anchors = self.anchors_at((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.0, 10.0, 0.0), radius=2.0)
+        assert COVERAGE_RADIUS == 2.0
+        anchors = self.anchors_at((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.0, 10.0, 0.0))
         crowd = np.full((5, 3), 0.5)
         on_circle = np.array([[12.0, 0.0, 5.0], [10.0, -2.0, 0.0]])
         beyond = np.array([[np.nextafter(2.0, 3.0), 10.0, 0.0], [0.0, np.nextafter(12.0, 13.0), 0.0],
@@ -301,6 +303,8 @@ class TestStaticToMoving:
         track = make_track(np.random.default_rng(19), [(5, 5, 1)] * 3)
         with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
             static_to_moving(track, EMPTY_SCENE, ring_anchors((5, 5, 1)), seed=-1)
+        with pytest.raises(InvalidInputError, match=r"^seed must be an integer, got 1.5$"):
+            static_to_moving(track, EMPTY_SCENE, ring_anchors((5, 5, 1)), seed=1.5)
 
     def test_a_scene_cut_to_the_anchors_box_picks_the_same_anchor(self):
         # the CLI keeps only these points of each frame
@@ -318,8 +322,8 @@ class TestStaticToMoving:
     def test_anchor_set_validation(self):
         with pytest.raises(InvalidInputError):
             AnchorSet(np.zeros((0, 3)))
-        with pytest.raises(InvalidInputError):
-            AnchorSet(np.zeros((1, 3)), coverage_radius=0.0)
+        with pytest.raises(InvalidInputError, match="finite"):
+            AnchorSet(np.array([[0.0, np.nan, 0.0]]))
 
 
 class TestApplySwitch:

@@ -36,7 +36,7 @@ from lidarseq.augment import (
     static_to_moving,
 )
 from lidarseq.cli import main
-from lidarseq.errors import ConfigurationError, InvalidSpecError
+from lidarseq.errors import ConfigurationError, FormatError, InvalidSpecError
 from lidarseq.imaging import (
     DEFAULT_IMAGE_STEP,
     DEFAULT_IMAGE_WINDOW,
@@ -858,6 +858,17 @@ class TestLift:
                              (no_images, str(no_images / "image_2"))):
             assert main(["lift", "--sequence", str(seq)]) == 2
             assert message in capsys.readouterr().err
+
+    def test_a_non_finite_intrinsic_names_calib_txt(self, seq_dir, capsys):
+        calib = seq_dir / "calib.txt"
+        lines = calib.read_text().splitlines(True)
+        calib.write_text("".join("P2: nan" + line[line.index(" ", 4):] if line.startswith("P2:") else line
+                                 for line in lines))
+        with pytest.raises(FormatError) as info:
+            load_camera_calib(seq_dir)
+        assert str(info.value) == f"{calib}: fx must be finite, got nan"
+        assert main(["lift", "--sequence", str(seq_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {calib}: fx must be finite, got nan\n"
 
     def test_only_lift_reads_a_camera(self, seq_dir, tmp_path, monkeypatch):
         seq = _without_p2(seq_dir, tmp_path / "no-camera")

@@ -25,6 +25,7 @@ from lidarseq.imaging import (
     write_image,
 )
 from lidarseq.sequence import (
+    CameraCalib,
     CameraSpec,
     EgoSpec,
     SyntheticSceneSpec,
@@ -72,6 +73,25 @@ def make_frames(frame_count=5, ego_velocity=(2.0, 0.0, 0.0), points=400, seed=3)
 
 def frame_images(frames, channels=3, seed=9):
     return {f.index: synthetic_feature_image(CALIB, f.index, channels, seed) for f in frames}
+
+
+class TestCameraCalib:
+    def test_numbers_and_sizes_follow_the_spec_rules(self):
+        good = dict(fx=60.0, fy=60.0, cx=32.0, cy=24.0, extrinsic=CALIB.extrinsic, width=64, height=48)
+        cases = {
+            "fx must be finite, got nan": {"fx": math.nan},
+            "cy must be a number, got '24'": {"cy": "24"},
+            "width must be an integer, got 2.5": {"width": 2.5},
+            "height must be an integer, got True": {"height": True},
+            "focal lengths must be positive": {"fy": -1.0},
+            "image size must be positive": {"height": 0},
+        }
+        for message, bad in cases.items():
+            with pytest.raises(InvalidInputError) as info:
+                CameraCalib(**{**good, **bad})
+            assert str(info.value) == message
+        calib = CameraCalib(**{**good, "fx": np.float64(60), "width": 64.0})
+        assert calib == CameraCalib(**good) and type(calib.fx) is float and type(calib.width) is int
 
 
 class TestProjection:
@@ -324,6 +344,17 @@ class TestFuseToVoxels:
         with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
             fuse_to_voxels(self.agg(), seed=-1)
 
+    def test_seed_and_scales_follow_the_integer_rule(self):
+        agg = self.agg()
+        with pytest.raises(InvalidInputError, match=r"^seed must be an integer, got 1.5$"):
+            fuse_to_voxels(agg, seed=1.5)
+        with pytest.raises(InvalidInputError, match=r"^scales must be an integer, got 2.5$"):
+            fuse_to_voxels(agg, scales=2.5)
+        want = fuse_to_voxels(agg, scales=2, seed=2, voxel_size=0.4)
+        for scales, seed in ((2.0, 2.0), (np.int64(2), np.int64(2))):
+            got = fuse_to_voxels(agg, scales=scales, seed=seed, voxel_size=0.4)
+            assert [m.features.tobytes() for m in got] == [m.features.tobytes() for m in want]
+
 
 class TestTemporalMultimodalGather:
     def test_concatenates_per_scale_gathers(self):
@@ -467,6 +498,16 @@ class TestImageFiles:
             synthetic_feature_image(CALIB, 4, seed=-1)
         with pytest.raises(InvalidInputError, match=r"^frame_index must be >= 0, got -2$"):
             synthetic_feature_image(CALIB, -2, seed=0)
+
+    def test_seeds_follow_the_integer_rule(self):
+        # a whole float or numpy integer draws as its int; anything else is named
+        with pytest.raises(InvalidInputError, match=r"^seed must be an integer, got 1.5$"):
+            synthetic_feature_image(CALIB, 4, seed=1.5)
+        with pytest.raises(InvalidInputError, match=r"^seed must be an integer, got True$"):
+            synthetic_feature_image(CALIB, 4, seed=True)
+        want = synthetic_feature_image(CALIB, 4, seed=2).features
+        for seed in (2.0, np.int64(2)):
+            assert synthetic_feature_image(CALIB, 4, seed=seed).features.tobytes() == want.tobytes()
 
     def test_synthetic_images_are_deterministic(self):
         a = synthetic_feature_image(CALIB, 4, seed=7)

@@ -3,9 +3,9 @@
 Every import sits at module level, so a module's dependencies show at its
 top; ``yaml`` is the one exception, imported only when a config file is
 read. The package-internal ``from .x import`` graph has no cycle, one
-runner starts every thread, and the CLI's start-up imports no thread pool or
-logging. The parameter names of
-every callable the package root exports are pinned.
+runner starts every thread, no config reader holds a value rule of its own,
+and the CLI's start-up imports no thread pool or logging. The parameter
+names of every callable the package root exports are pinned.
 """
 
 import ast
@@ -23,7 +23,7 @@ LATE_IMPORTS = {"yaml"}
 # a parameter added or removed shows here, as the CLI's options show in test_cli
 ROOT_PARAMETERS = {
     "AggregatedCloud": "labeled source_frame source_step reference_frame",
-    "AnchorSet": "positions coverage_radius",
+    "AnchorSet": "positions",
     "BenchReport": "rows",
     "BenchRow": "strategy window division points bytes millis",
     "CameraCalib": "fx fy cx cy extrinsic width height",
@@ -168,6 +168,32 @@ def test_one_thread_runner_makes_every_thread():
         and (node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id) == "Thread"
     ]
     assert sites == [("geometry", "_on_two_threads")]
+
+
+VALUE_RULES = {"_integer", "_number", "_vector", "_label_id", "_class_fractions"}
+
+
+def _rules_in_readers(trees: dict[str, ast.Module]) -> list[str]:
+    """Each value rule named anywhere inside a ``_from_mapping(...)`` call, once."""
+    return sorted({
+        f"{name} line {inner.lineno}: {inner.id}"
+        for name, tree in trees.items()
+        for _, node in _nodes(tree, ast.Call)
+        if isinstance(node.func, ast.Name) and node.func.id == "_from_mapping"
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Name) and inner.id in VALUE_RULES
+    })
+
+
+def test_config_readers_hold_no_value_rule():
+    # the dataclasses check every field in their constructors; a reader that
+    # applied a rule of its own would be a second table, free to drift
+    assert _rules_in_readers(_modules()) == []
+
+
+def test_a_value_rule_in_a_reader_is_found():
+    tree = ast.parse('_x = _from_mapping(X, "x", a=lambda v: _integer(v), b=_from_mapping(Y, "y", c=_vector))')
+    assert _rules_in_readers({"m": tree}) == ["m line 1: _integer", "m line 1: _vector"]
 
 
 def test_the_cli_loads_no_executor_or_logging():

@@ -568,6 +568,10 @@ class TestCorruptLabels:
     def test_negative_seed_is_named(self, frame):
         with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
             corrupt_labels(frame, 0.5, -1)
+        with pytest.raises(InvalidInputError, match=r"^seed must be an integer, got 1.5$"):
+            corrupt_labels(frame, 0.5, 1.5)
+        want = corrupt_labels(frame, 0.5, 2).labeled.semantic
+        assert np.array_equal(corrupt_labels(frame, 0.5, np.int64(2)).labeled.semantic, want)
 
     def test_seed_determinism(self, frame):
         a = corrupt_labels(frame, 0.3, seed=9)

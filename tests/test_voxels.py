@@ -446,6 +446,8 @@ class TestFixedKernel:
     def test_negative_seed_is_named(self):
         with pytest.raises(InvalidInputError, match=r"^seed must be >= 0, got -1$"):
             seeded_kernel(4, -1)
+        with pytest.raises(InvalidInputError, match=r"^seed must be an integer, got 1.5$"):
+            seeded_kernel(4, 1.5)
 
     def test_width_mismatch_is_rejected(self):
         rng = np.random.default_rng(13)
