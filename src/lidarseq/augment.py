@@ -9,14 +9,17 @@ directions are pure translations, so each part keeps its shape exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import shutil
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .aggregation import AggregatedCloud
 from .errors import ConfigurationError, InvalidInputError, NotAugmentableError
-from .geometry import LabeledCloud, PointCloud, _from_checked, _seeded_rng
+from .geometry import LabeledCloud, PointCloud, Pose, _from_checked, _seeded_rng, relative_pose
+from .sequence import _frame_reader, _parse_calib, _write_frames, default_camera_calib, reference_frame
 
 DEFAULT_MOTION_THRESHOLD = 0.2  # meters of centroid travel across the track
 SPEED_RANGE = (0.2, 1.0)  # meters per frame-step
@@ -37,6 +40,7 @@ DEFAULT_CLASS_PAIRS: dict[int, int] = {
 
 STATIC = "static"
 MOVING = "moving"
+SWITCHES = ("static-to-moving", "moving-to-static")
 
 
 @dataclass(frozen=True)
@@ -148,9 +152,7 @@ def classify_motion(track: InstanceTrack, threshold: float = DEFAULT_MOTION_THRE
     return MOVING if _max_centroid_spread(track) > threshold else STATIC
 
 
-def moving_to_static(
-    track: InstanceTrack, threshold: float = DEFAULT_MOTION_THRESHOLD
-) -> InstanceTrack:
+def moving_to_static(track: InstanceTrack, threshold: float = DEFAULT_MOTION_THRESHOLD) -> InstanceTrack:
     """Collapse every temporal part onto the newest centroid.
 
     Part i moves by C_0 - C_i, a pure translation, so per-part shape is
@@ -182,22 +184,33 @@ def _in_anchor_box(anchors: AnchorSet, xyz: np.ndarray) -> np.ndarray:
     return xyz[(x >= lo[0]) & (x <= hi[0]) & (y >= lo[1]) & (y <= hi[1])]
 
 
-def _fewest_points_anchor(anchors: AnchorSet, scene_xyz: np.ndarray) -> int:
-    scene_xyz = _in_anchor_box(anchors, scene_xyz)
-    counts = []
-    for pos in anchors.positions:
-        d2 = (scene_xyz[:, 0] - pos[0]) ** 2 + (scene_xyz[:, 1] - pos[1]) ** 2
-        counts.append(int((d2 <= COVERAGE_RADIUS**2).sum()))
-    return int(np.argmin(counts))  # argmin takes the lowest index on ties
+def _anchor_coverage(anchors: AnchorSet, scene) -> np.ndarray:
+    """How many points of ``scene`` (an aggregated cloud or (N, 3) points, in float64) each anchor's
+    cylinder covers, as an int64 (K,) array. Only the points ``_in_anchor_box`` keeps are measured,
+    and the counts of a split of the points add up to those of the whole."""
+    xyz = scene.labeled.cloud.xyz if isinstance(scene, AggregatedCloud) else np.asarray(scene, dtype=np.float64)
+    x, y, _ = _in_anchor_box(anchors, xyz).T
+    return np.array([((x - px) ** 2 + (y - py) ** 2 <= COVERAGE_RADIUS**2).sum()
+                     for px, py, _ in anchors.positions], dtype=np.int64)
 
 
-def static_to_moving(
-    track: InstanceTrack,
-    scene,
-    anchors: AnchorSet,
-    seed: int = 0,
-    threshold: float = DEFAULT_MOTION_THRESHOLD,
-) -> InstanceTrack:
+def _static_to_moving(track: InstanceTrack, anchors: AnchorSet, coverage, seed, threshold) -> InstanceTrack:
+    """``static_to_moving`` with the anchors' coverage counts, which ``coverage()`` returns once the
+    motion check and the seed have passed."""
+    if classify_motion(track, threshold) != STATIC:
+        raise NotAugmentableError("track is already moving")
+    rng = _seeded_rng(seed=seed)
+    speed = rng.uniform(*SPEED_RANGE)
+    sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
+    d = sign * speed * _motion_axis(track)
+    anchor = anchors.positions[np.argmin(coverage())]  # argmin takes the lowest index on ties
+    base = anchor - track.centroids[0]
+    steps = np.arange(track.part_count, dtype=np.float64)[:, None]
+    return track.translated(base[None, :] + steps * d[None, :])
+
+
+def static_to_moving(track: InstanceTrack, scene, anchors: AnchorSet, seed: int = 0,
+                     threshold: float = DEFAULT_MOTION_THRESHOLD) -> InstanceTrack:
     """Give a static track a constant per-step offset at a quiet anchor.
 
     The whole track first moves so its newest centroid lands on the anchor
@@ -208,33 +221,17 @@ def static_to_moving(
     equal d. ``scene`` is an aggregated cloud or an (N, 3) array of points;
     only those in ``_in_anchor_box`` count, so that cut of it gives the same.
     """
-    if classify_motion(track, threshold) != STATIC:
-        raise NotAugmentableError("track is already moving")
-    scene_xyz = scene.labeled.cloud.xyz if isinstance(scene, AggregatedCloud) else np.asarray(scene, dtype=np.float64)
-    rng = _seeded_rng(seed=seed)
-    speed = rng.uniform(*SPEED_RANGE)
-    sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
-    d = sign * speed * _motion_axis(track)
-    anchor = anchors.positions[_fewest_points_anchor(anchors, scene_xyz)]
-    base = anchor - track.centroids[0]
-    steps = np.arange(track.part_count, dtype=np.float64)[:, None]
-    return track.translated(base[None, :] + steps * d[None, :])
+    return _static_to_moving(track, anchors, lambda: _anchor_coverage(anchors, scene), seed, threshold)
 
 
 def _remap_class(class_id: int, table: Mapping[int, int], direction: str) -> int:
     if class_id not in table:
-        raise ConfigurationError(
-            f"no {direction} counterpart configured for class {class_id}"
-        )
+        raise ConfigurationError(f"no {direction} counterpart configured for class {class_id}")
     return table[class_id]
 
 
-def apply_switch(
-    agg: AggregatedCloud,
-    track_old: InstanceTrack,
-    track_new: InstanceTrack,
-    threshold: float = DEFAULT_MOTION_THRESHOLD,
-) -> AggregatedCloud:
+def apply_switch(agg: AggregatedCloud, track_old: InstanceTrack, track_new: InstanceTrack,
+                 threshold: float = DEFAULT_MOTION_THRESHOLD) -> AggregatedCloud:
     """Swap an instance's old temporal parts for switched ones in place.
 
     Only the tracked points move; everything else in the cloud comes back
@@ -272,3 +269,77 @@ def apply_switch(
     cloud = _from_checked(PointCloud, xyz, agg.labeled.cloud.intensity)
     labeled = _from_checked(LabeledCloud, cloud, semantic, agg.labeled.instance)
     return _from_checked(AggregatedCloud, labeled, agg.source_frame, agg.source_step, agg.reference_frame)
+
+
+def switch_sequence(seq_dir, out_dir, instance: int, switch: str, frame: int | None = None,
+                    threshold: float = DEFAULT_MOTION_THRESHOLD, ring_radius: float = DEFAULT_RING_RADIUS,
+                    seed: int = 0) -> tuple[str, str, int]:
+    """Switch an instance's motion state in the sequence directory ``seq_dir`` and write all its frames,
+    with its calib.txt and image_2/, to ``out_dir``, as switching the track in ``aggregate_direct`` of
+    frames 0..t at t (``frame``, by default the last) would; static-to-moving takes the ``ring_anchors``
+    around the newest part. ``switch`` is one of ``SWITCHES``. Returns the motion state before and after,
+    and the frame count.
+
+    Frames are decoded one at a time. Pass 1 walks t down to frame 0, as aggregate_direct orders its
+    parts, and keeps the instance's rows moved into frame t and, for static-to-moving, the sum of each
+    frame's ``_anchor_coverage`` (frames walked before the newest part are decoded again for it); then it
+    decodes the frames after t, so that a broken one is reported before any file is written.
+    """
+    if switch not in SWITCHES:
+        raise InvalidInputError(f"switch must be one of {', '.join(SWITCHES)}, got {switch!r}")
+    count, read = _frame_reader(seq_dir)
+    t = reference_frame(seq_dir, frame, count)
+    columns = [(np.empty((0, 3)), np.empty(0), *np.empty((3, 0), np.int64))]
+    poses, coverage, anchors = {}, 0, None
+
+    def moved(sweep, rows=slice(None)):  # into frame t's coordinates, as aggregate_direct moves them
+        xyz = sweep.labeled.cloud.xyz[rows]
+        return xyz if sweep.index == t else relative_pose(poses[t], sweep.pose).apply(xyz)
+
+    for index in range(t, -1, -1):
+        sweep = read(index)
+        labeled, rows = sweep.labeled, np.flatnonzero(sweep.labeled.instance == instance)
+        if index == t or rows.size:
+            poses[index] = sweep.pose
+        if rows.size:
+            columns.append((moved(sweep, rows), labeled.cloud.intensity[rows], labeled.semantic[rows],
+                            labeled.instance[rows], np.full(rows.size, index)))
+        if switch == "static-to-moving":
+            if anchors is None and rows.size:  # the newest part's centroid as InstanceTrack takes it, in float64
+                anchors = ring_anchors(np.ascontiguousarray(columns[-1][0], np.float64).mean(axis=0), ring_radius)
+                coverage = sum(_anchor_coverage(anchors, moved(read(newer))) for newer in range(t, index, -1))
+            if anchors is not None:
+                coverage += _anchor_coverage(anchors, moved(sweep))
+    for index in range(t + 1, count):
+        read(index)
+
+    xyz, intensity, semantic, instances, source = map(np.concatenate, zip(*columns))
+    tracked = AggregatedCloud(LabeledCloud(PointCloud(xyz, intensity), semantic, instances), source, source != t, t)
+    track = extract_track(tracked, instance)
+    switched_track = (moving_to_static(track, threshold) if switch == "moving-to-static"
+                      else _static_to_moving(track, anchors, lambda: coverage, seed, threshold))
+    switched = apply_switch(tracked, track, switched_track, threshold=threshold)
+    # each tracked frame's new instance rows, moved back here: a helper thread of pass 2 calls no Pose.apply
+    rewritten = {index: (relative_pose(poses[index], poses[t]).apply(part.xyz),
+                         switched.labeled.semantic[switched.source_frame == index])
+                 for index, part in zip(track.frames, switched_track.parts)}
+
+    def frame_at(slot):  # a frame's rows keep its own point order, so the instance rows align
+        sweep = read(slot)
+        if slot not in rewritten:
+            return sweep
+        labeled, is_instance = sweep.labeled, sweep.labeled.instance == instance
+        xyz, semantic = labeled.cloud.xyz.copy(order="K"), labeled.semantic.copy()  # xyz stays column-stored
+        xyz[is_instance], semantic[is_instance] = rewritten[slot]
+        cloud = PointCloud(xyz, labeled.cloud.intensity)
+        return replace(sweep, labeled=LabeledCloud(cloud, semantic, labeled.instance))
+
+    source_dir, out_dir = Path(seq_dir), Path(out_dir)
+    # poses.txt rows beside the source's Tr, then its calib.txt and images: file indices stay the same
+    calib_text = (source_dir / "calib.txt").read_bytes()
+    tr = Pose(_parse_calib(source_dir / "calib.txt")["Tr"])
+    _write_frames(out_dir, count, frame_at, replace(default_camera_calib(), extrinsic=tr))
+    (out_dir / "calib.txt").write_bytes(calib_text)
+    if (source_dir / "image_2").is_dir() and out_dir.resolve() != source_dir.resolve():
+        shutil.copytree(source_dir / "image_2", out_dir / "image_2", dirs_exist_ok=True)
+    return classify_motion(track, threshold), classify_motion(switched_track, threshold), count

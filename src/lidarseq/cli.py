@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import shutil
 import sys
 from collections.abc import Mapping
 from pathlib import Path
@@ -18,10 +17,8 @@ import numpy as np
 
 from . import aggregation, augment, bench, imaging, voxels
 from .aggregation import AggregatedCloud, aggregate_direct, aggregate_fsa, aggregate_stepped
-from .augment import apply_switch, classify_motion, extract_track, moving_to_static, ring_anchors, static_to_moving
 from .distill import distill_loss
 from .errors import ConfigurationError, InvalidInputError, LidarSeqError, UsageError
-from .geometry import LabeledCloud, PointCloud, Pose, relative_pose
 from .imaging import (
     _IMAGE_SUFFIXES,
     _write_synthetic_image,
@@ -31,14 +28,12 @@ from .imaging import (
     read_image,
 )
 from .sequence import (
-    _frame_reader,
-    _parse_calib,
     _scene_renderer,
     _write_frames,
     corrupt_labels,
-    default_camera_calib,
     load_scene_spec,
     load_sequence,
+    reference_frame,
     sequence_length,
 )
 from .voxels import load_voxel_maps, save_voxel_maps
@@ -63,16 +58,6 @@ def _resolve_division(spec: str, window: int | None = None):
         return aggregation.resolve_division(spec, window)
     except ConfigurationError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _reference_frame(requested: int | None, count: int) -> int:
-    if requested is None:
-        return count - 1
-    if not 0 <= requested < count:
-        raise InvalidInputError(
-            f"frame {requested} is outside the sequence of {count} frames (0..{count - 1})"
-        )
-    return requested
 
 
 class _SequenceImages(Mapping):
@@ -103,7 +88,7 @@ def _load_source(args, steps, window: int):
     """The frames of --sequence that a sampler with ``steps`` and ``window``
     reads at the reference frame t (``aggregation.sampled_frames``), by
     ascending index; and t. Only those are decoded, and no camera is read."""
-    t = _reference_frame(args.frame, sequence_length(args.sequence))
+    t = reference_frame(args.sequence, args.frame, sequence_length(args.sequence))
     return load_sequence(args.sequence, indices=sorted(aggregation.sampled_frames(t, steps, window))), t
 
 
@@ -182,74 +167,11 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    # One decoded frame at a time, in two passes. Pass 1 walks t down to frame 0, as aggregate_direct
-    # orders its parts, and moves into frame t the instance's rows and, for static-to-moving, the scene
-    # points in the box of the anchors around the newest part; then it decodes the frames after t, so
-    # that a broken one is reported before any file is written. Pass 2 writes every frame, rewritten.
-    count, read = _frame_reader(args.sequence)
-    t = _reference_frame(args.frame, count)
-    columns = [(np.empty((0, 3)), np.empty(0), *np.empty((3, 0), np.int64))]
-    poses, scene, anchors = {}, [np.empty((0, 3))], None
-
-    def moved(frame, rows=slice(None)):  # into frame t's coordinates, as aggregate_direct moves them
-        xyz = frame.labeled.cloud.xyz[rows]
-        return xyz if frame.index == t else relative_pose(poses[t], frame.pose).apply(xyz)
-
-    for index in range(t, -1, -1):
-        frame = read(index)
-        labeled, rows = frame.labeled, np.flatnonzero(frame.labeled.instance == args.instance)
-        if index == t or rows.size:
-            poses[index] = frame.pose
-        if rows.size:
-            columns.append((moved(frame, rows), labeled.cloud.intensity[rows], labeled.semantic[rows],
-                            labeled.instance[rows], np.full(rows.size, index)))
-        if args.switch == "static-to-moving":
-            if anchors is None and rows.size:  # the newest part's centroid as InstanceTrack takes it, in float64
-                anchors = ring_anchors(np.ascontiguousarray(columns[-1][0], np.float64).mean(axis=0), args.ring_radius)
-                scene += [augment._in_anchor_box(anchors, moved(read(newer))) for newer in range(t, index, -1)]
-            if anchors is not None:
-                scene.append(augment._in_anchor_box(anchors, moved(frame)))
-    for index in range(t + 1, count):
-        read(index)
-
-    xyz, intensity, semantic, instance, source = map(np.concatenate, zip(*columns))
-    tracked = AggregatedCloud(LabeledCloud(PointCloud(xyz, intensity), semantic, instance), source, source != t, t)
-    track = extract_track(tracked, args.instance)
-    if args.switch == "moving-to-static":
-        switched_track = moving_to_static(track, args.threshold)
-    else:
-        switched_track = static_to_moving(
-            track, np.concatenate(scene), anchors, seed=args.seed, threshold=args.threshold
-        )
-    switched = apply_switch(tracked, track, switched_track, threshold=args.threshold)
-    # each tracked frame's new instance rows, moved back here: a helper thread of pass 2 calls no Pose.apply
-    rewritten = {index: (relative_pose(poses[index], poses[t]).apply(part.xyz),
-                         switched.labeled.semantic[switched.source_frame == index])
-                 for index, part in zip(track.frames, switched_track.parts)}
-
-    def frame_at(slot):  # a frame's rows keep its own point order, so the instance rows align
-        frame = read(slot)
-        if slot not in rewritten:
-            return frame
-        labeled, is_instance = frame.labeled, frame.labeled.instance == args.instance
-        xyz, semantic = labeled.cloud.xyz.copy(order="K"), labeled.semantic.copy()  # xyz stays column-stored
-        xyz[is_instance], semantic[is_instance] = rewritten[slot]
-        cloud = PointCloud(xyz, labeled.cloud.intensity)
-        return dataclasses.replace(frame, labeled=LabeledCloud(cloud, semantic, labeled.instance))
-
-    source, out = Path(args.sequence), Path(args.out)
-    # poses.txt rows beside the source's Tr, then its own calib.txt and
-    # images: every frame is written, so file indices stay the same
-    calib_text = (source / "calib.txt").read_bytes()
-    tr = Pose(_parse_calib(source / "calib.txt")["Tr"])
-    _write_frames(out, count, frame_at, dataclasses.replace(default_camera_calib(), extrinsic=tr))
-    (out / "calib.txt").write_bytes(calib_text)
-    if (source / "image_2").is_dir() and out.resolve() != source.resolve():
-        shutil.copytree(source / "image_2", out / "image_2", dirs_exist_ok=True)
-    print(
-        f"switched instance {args.instance} {classify_motion(track, args.threshold)} -> "
-        f"{classify_motion(switched_track, args.threshold)}; wrote {count} frames to {args.out}"
+    before, after, count = augment.switch_sequence(
+        args.sequence, args.out, args.instance, args.switch, frame=args.frame, threshold=args.threshold,
+        ring_radius=args.ring_radius, seed=args.seed,
     )
+    print(f"switched instance {args.instance} {before} -> {after}; wrote {count} frames to {args.out}")
     return 0
 
 
@@ -353,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.add_argument("--frame", type=int, default=None)
     p.add_argument("--instance", type=int, required=True)
-    p.add_argument("--switch", choices=("static-to-moving", "moving-to-static"), required=True)
+    p.add_argument("--switch", choices=augment.SWITCHES, required=True)
     p.add_argument("--threshold", type=float, default=augment.DEFAULT_MOTION_THRESHOLD,
                    help="motion threshold (m)")
     p.add_argument("--ring-radius", type=float, default=augment.DEFAULT_RING_RADIUS,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -152,12 +152,10 @@ def _parse_matrix_line(tokens: Sequence[str], where: str) -> np.ndarray:
     return np.array(vals, dtype=np.float64).reshape(3, 4)
 
 
-def _parse_poses(path: Path) -> list[np.ndarray]:
-    rows = []
-    for lineno, line in enumerate(path.read_text().splitlines()):
-        if not line.strip():
-            continue
-        rows.append(_parse_matrix_line(line.split(), f"{path}:{lineno + 1}"))
+def _parse_poses(path: Path) -> list[tuple[int, np.ndarray]]:
+    """Each pose row of poses.txt with its line number; blank lines hold no row."""
+    rows = [(lineno, _parse_matrix_line(line.split(), f"{path}:{lineno}"))
+            for lineno, line in enumerate(path.read_text().splitlines(), 1) if line.strip()]
     if not rows:
         raise FormatError(f"{path}: no pose rows")
     return rows
@@ -221,6 +219,17 @@ def sequence_length(seq_dir) -> int:
     return count or len(_parse_poses(path))  # no row: the parser's error
 
 
+def reference_frame(seq_dir, requested: int | None, count: int) -> int:
+    """The reference frame t of a sequence of ``count`` frames (``sequence_length``): ``requested``,
+    or the last frame when it is None. A frame outside the sequence names ``seq_dir``'s poses.txt."""
+    if requested is None:
+        return count - 1
+    if not 0 <= requested < count:
+        raise InvalidInputError(f"frame {requested} is outside the sequence of {count} frames "
+                                f"(0..{count - 1}) in {Path(seq_dir) / 'poses.txt'}")
+    return requested
+
+
 def load_sequence(
     seq_dir,
     window: tuple[int, int] | None = None,
@@ -260,8 +269,7 @@ def _frame_reader(seq_dir) -> tuple[int, Callable[[int], SequenceFrame]]:
     parsed here, once; and ``read(idx)``, which decodes frame idx with numpy, constructors and compose."""
     seq_dir = Path(seq_dir)
     pose_rows = _parse_poses(seq_dir / "poses.txt")
-    calib = _parse_calib(seq_dir / "calib.txt")
-    tr = Pose(calib["Tr"])
+    tr = _pose(_parse_calib(seq_dir / "calib.txt")["Tr"], f"{seq_dir / 'calib.txt'}: Tr")
     tr_inv = invert(tr)
 
     count = len(pose_rows)
@@ -279,17 +287,21 @@ def _frame_reader(seq_dir) -> tuple[int, Callable[[int], SequenceFrame]]:
             semantic, instance = _decode_labels(_read_bytes(label_path), cloud.count, label_path)
         except FileNotFoundError as exc:
             raise FormatError(f"{exc.filename}: no such file for frame {idx}") from None
-        pose = compose(compose(tr_inv, Pose(pose_rows[idx])), tr)
+        lineno, row = pose_rows[idx]
+        pose = compose(compose(tr_inv, _pose(row, f"{seq_dir / 'poses.txt'}:{lineno}: frame {idx}")), tr)
         stamp = times[idx] if times is not None else idx * FRAME_PERIOD_S
-        return SequenceFrame(
-            index=idx,
-            labeled=LabeledCloud(cloud, semantic, instance),
-            pose=pose,
-            timestamp=stamp,
-            file_pose=pose_rows[idx],
-        )
+        return SequenceFrame(index=idx, labeled=LabeledCloud(cloud, semantic, instance), pose=pose, timestamp=stamp,
+                             file_pose=row)
 
     return count, read
+
+
+def _pose(row: np.ndarray, where: str) -> Pose:
+    """A pose read from a file; a matrix Pose rejects is a FormatError that names ``where``."""
+    try:
+        return Pose(row)
+    except InvalidInputError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def _format_matrix(mat: np.ndarray) -> str:
@@ -693,10 +705,4 @@ def corrupt_labels(frame: SequenceFrame, error_rate: float, seed: int) -> Sequen
     draw = rng.integers(0, present.shape[0] - 1, size=n_corrupt)
     draw += (draw >= own_pos).astype(draw.dtype)  # skip the original class
     new_semantic[chosen] = present[draw]
-    return SequenceFrame(
-        index=frame.index,
-        labeled=LabeledCloud(frame.labeled.cloud, new_semantic, frame.labeled.instance),
-        pose=frame.pose,
-        timestamp=frame.timestamp,
-        file_pose=frame.file_pose,
-    )
+    return replace(frame, labeled=LabeledCloud(frame.labeled.cloud, new_semantic, frame.labeled.instance))

@@ -16,7 +16,7 @@ from lidarseq.augment import (
     ring_anchors,
     static_to_moving,
 )
-from lidarseq.augment import _fewest_points_anchor, _in_anchor_box
+from lidarseq.augment import DEFAULT_MOTION_THRESHOLD, _anchor_coverage, _in_anchor_box, _static_to_moving, switch_sequence
 from lidarseq.errors import ConfigurationError, InvalidInputError, NotAugmentableError
 from lidarseq.geometry import LabeledCloud, PointCloud
 from lidarseq.sequence import EgoSpec, InstanceSpec, SyntheticSceneSpec, generate_synthetic
@@ -243,7 +243,7 @@ class TestStaticToMoving:
                       for p in spaced.positions]
             far = rng.uniform(-2000, 2000, size=(200, 3))
             xyz = np.vstack(crowds + [far])
-            assert _fewest_points_anchor(spaced, xyz) == brute_force(spaced, xyz)
+            assert np.argmin(_anchor_coverage(spaced, xyz)) == brute_force(spaced, xyz)
         # points exactly on the coverage radius (2 m) count, one ulp beyond do not:
         # anchor 1 holds two of the first, anchor 2 three of the second
         assert COVERAGE_RADIUS == 2.0
@@ -254,9 +254,9 @@ class TestStaticToMoving:
                            [-np.nextafter(2.0, 3.0), 10.0, -1.0]])
         xyz = np.vstack([crowd, on_circle, beyond])
         assert brute_force(anchors, xyz) == 2
-        assert _fewest_points_anchor(anchors, xyz) == 2
+        assert np.argmin(_anchor_coverage(anchors, xyz)) == 2
         # an empty scene ties every anchor at zero
-        assert _fewest_points_anchor(anchors, EMPTY_SCENE) == 0
+        assert np.argmin(_anchor_coverage(anchors, EMPTY_SCENE)) == 0
 
     def test_result_classifies_as_moving(self):
         rng = np.random.default_rng(13)
@@ -307,17 +307,22 @@ class TestStaticToMoving:
             static_to_moving(track, EMPTY_SCENE, ring_anchors((5, 5, 1)), seed=1.5)
 
     def test_a_scene_cut_to_the_anchors_box_picks_the_same_anchor(self):
-        # the CLI keeps only these points of each frame
+        # switch_sequence adds up the counts of each frame, which only the box's points reach
         rng = np.random.default_rng(20)
         track = make_track(rng, [(5, 5, 1)] * 3)
         anchors = ring_anchors((5, 5, 1))
         scene = np.concatenate([rng.uniform(-20, 30, size=(3000, 3)), rng.uniform(6, 9, size=(200, 3))])
         kept = _in_anchor_box(anchors, scene)
         assert 0 < kept.shape[0] < scene.shape[0]
-        assert _fewest_points_anchor(anchors, kept) == _fewest_points_anchor(anchors, scene)
-        a, b = static_to_moving(track, scene, anchors, seed=3), static_to_moving(track, kept, anchors, seed=3)
-        for part_a, part_b in zip(a.parts, b.parts):
-            assert part_a.xyz.tobytes() == part_b.xyz.tobytes()
+        whole = _anchor_coverage(anchors, scene)
+        summed = sum(_anchor_coverage(anchors, chunk) for chunk in np.array_split(scene, [0, 700, 701, 2500]))
+        assert whole.dtype == summed.dtype == np.int64 and len(set(whole.tolist())) > 1
+        assert _anchor_coverage(anchors, kept).tolist() == summed.tolist() == whole.tolist()
+        a = static_to_moving(track, scene, anchors, seed=3)
+        for b in (static_to_moving(track, kept, anchors, seed=3),
+                  _static_to_moving(track, anchors, lambda: summed, 3, DEFAULT_MOTION_THRESHOLD)):
+            for part_a, part_b in zip(a.parts, b.parts):
+                assert part_a.xyz.tobytes() == part_b.xyz.tobytes()
 
     def test_anchor_set_validation(self):
         with pytest.raises(InvalidInputError):
@@ -446,3 +451,10 @@ class TestApplySwitch:
         forward = DEFAULT_CLASS_PAIRS
         assert len(set(forward.values())) == len(forward)
         assert all(static < 200 <= moving for static, moving in forward.items())
+
+
+def test_switch_sequence_rejects_an_unknown_switch_before_reading(tmp_path):
+    # the sequence directory does not exist: an error from reading it would be an OSError
+    with pytest.raises(InvalidInputError, match=r"^switch must be one of static-to-moving, moving-to-static, got 'up'$"):
+        switch_sequence(tmp_path / "missing", tmp_path / "out", 5, "up")
+    assert not (tmp_path / "out").exists()

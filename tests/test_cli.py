@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, reproducibility, end-to-end subcommand wiring."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
-from lidarseq import cli, imaging
+from lidarseq import augment, cli, imaging
 from lidarseq import sequence as seqio
 from lidarseq.aggregation import (
     DEFAULT_WINDOW,
@@ -112,6 +113,18 @@ class TestTopLevel:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_the_cli_reaches_no_private_name_of_augment_and_not_the_frame_reader(self):
+        # augment.switch_sequence reads, switches and writes the frames; the command only parses and prints
+        tree = ast.parse(Path(cli.__file__).read_text())
+        reached = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names
+                   if node.module == "augment" and alias.name.startswith("_")
+                   or node.module == "sequence" and alias.name in ("_frame_reader", "_parse_calib")]
+        reached += [f"augment.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "augment" and node.attr.startswith("_")]
+        assert reached == []
 
     def test_defaults_come_from_the_library_constants(self):
         parser = cli.build_parser()
@@ -487,6 +500,40 @@ class TestAggregate:
                 err = capsys.readouterr().err
                 assert f"frame {frame} " in err and "sequence of 6 frames" in err
 
+    @pytest.mark.parametrize("command", ["aggregate", "augment"])
+    def test_the_frame_range_error_names_poses_txt(self, seq_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        extra = ["--instance", "5", "--switch", "moving-to-static", "--out", str(out)] if command == "augment" else []
+        assert main([command, "--sequence", str(seq_dir), "--frame", "8", *extra]) == 2
+        assert capsys.readouterr().err == (
+            f"error: frame 8 is outside the sequence of 6 frames (0..5) in {seq_dir / 'poses.txt'}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["aggregate", "augment"])
+    @pytest.mark.parametrize("case", ["non-orthonormal row", "nan row", "non-orthonormal Tr"])
+    def test_a_pose_that_does_not_build_names_its_file(self, seq_dir, tmp_path, capsys, command, case):
+        # blank lines before frame 2's row put it on line 5 of poses.txt
+        poses, calib = seq_dir / "poses.txt", seq_dir / "calib.txt"
+        rows = [line.split() for line in poses.read_text().splitlines()]
+        lines = calib.read_text().splitlines()
+        if case == "non-orthonormal Tr":
+            tr = lines.index(next(line for line in lines if line.startswith("Tr:")))
+            lines[tr] = "Tr: 5.0 " + " ".join(lines[tr].split()[2:])
+            calib.write_text("\n".join(lines) + "\n")
+            where, tail = f"{calib}: Tr: ", "rotation block is not orthonormal (|R^T R - I| = "
+        else:
+            rows[2][0] = "nan" if case == "nan row" else "5.0"
+            where = f"{poses}:5: frame 2: "
+            tail = "pose matrix contains non-finite entries\n" if case == "nan row" else "rotation block is not orthonormal (|R^T R - I| = "
+        poses.write_text("\n" + " ".join(rows[0]) + "\n\n" + "\n".join(map(" ".join, rows[1:])) + "\n")
+        out = tmp_path / "out"
+        # --strategy direct reads frames 0..5
+        extra = (["--instance", "5", "--switch", "moving-to-static", "--out", str(out)] if command == "augment"
+                 else ["--strategy", "direct"])
+        assert main([command, "--sequence", str(seq_dir), *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}{tail}")
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
     def test_source_is_required_and_exclusive(self, seq_dir, spec_path, capsys):
         # a sequence directory is the one source; a scene spec goes through synth first
         assert main(["aggregate"]) == 1
@@ -632,13 +679,13 @@ class TestAugmentStreams:
         seq = _augment_scene(tmp_path, "seq", 8, 400, velocity)
         argv = ["augment", "--sequence", str(seq), "--instance", "5", "--frame", "6", "--switch", switch]
         assert main([*argv, "--out", str(tmp_path / "narrow")]) == 0
-        frame_reader = cli._frame_reader
+        frame_reader = augment._frame_reader
 
         def widening_reader(seq_dir):  # the frames as float64 and int64 twins
             count, read = frame_reader(seq_dir)
             return count, lambda index: widened(read(index))
 
-        monkeypatch.setattr(cli, "_frame_reader", widening_reader)
+        monkeypatch.setattr(augment, "_frame_reader", widening_reader)
         assert main([*argv, "--out", str(tmp_path / "wide")]) == 0
         assert _tree(tmp_path / "narrow") == _tree(tmp_path / "wide")
 
@@ -655,17 +702,19 @@ class TestAugmentStreams:
                      "--out", str(tmp_path / "out")]) == 0
         assert callers and set(callers) == {threading.get_ident()}
 
-    def test_peak_memory_does_not_grow_with_frame_count(self, tmp_path):
-        # a memory bound, not a timing: augment holds a frame or two and the
-        # instance's track; aggregating 64 frames would hold 64 frames' rows
+    @pytest.mark.parametrize("switch, velocity", [("moving-to-static", (3.0, 0.0, 0.0)),
+                                                  ("static-to-moving", (0.0, 0.0, 0.0))])
+    def test_peak_memory_does_not_grow_with_frame_count(self, tmp_path, switch, velocity):
+        # a memory bound, not a timing: augment holds a frame or two, the instance's
+        # track and eight anchor counts; aggregating 64 frames would hold 64 frames' rows
         points = 20_000
 
         def peak(frames: int) -> int:
-            seq = _augment_scene(tmp_path, f"seq{frames}", frames, points, (3.0, 0.0, 0.0), instance_points=8)
+            seq = _augment_scene(tmp_path, f"seq{frames}", frames, points, velocity, instance_points=8)
             tracemalloc.start()
             try:
                 assert main(["augment", "--sequence", str(seq), "--instance", "5", "--switch",
-                             "moving-to-static", "--out", str(tmp_path / f"out{frames}")]) == 0
+                             switch, "--out", str(tmp_path / f"out{frames}")]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
