@@ -39,7 +39,8 @@ import numpy as np
 from .errors import ConfigurationError, InvalidInputError
 from .geometry import LabeledCloud, PointCloud, _from_checked, _is_whole, _on_two_threads, relative_pose
 from .sequence import (
-    LABEL_FIELD_SIZE, SequenceFrame, _check_fields, _entries, _from_mapping, _integer, _list, _number, _read_yaml,
+    LABEL_FIELD_SIZE, SequenceFrame, _check_fields, _entries, _from_mapping, _integer, _list, _nested, _number,
+    _read_yaml,
 )
 
 INFINITE_STEP = math.inf
@@ -90,10 +91,10 @@ class ClassGroup:
             raise ConfigurationError("a class group cannot be empty")
         outside = sorted(c for c in self.classes if not 0 <= c < LABEL_FIELD_SIZE)
         if outside:
-            raise ConfigurationError(
-                f"class ids {outside} lie outside the label field [0, {LABEL_FIELD_SIZE - 1}]"
-            )
+            raise ConfigurationError(f"class ids {outside} lie outside the label field [0, {LABEL_FIELD_SIZE - 1}]")
         object.__setattr__(self, "step", _check_step(self.step))
+        _check_fields(self, ConfigurationError,
+                      distance_split=lambda split: split if split is None else _nested(DistanceSplit)(split))
         if self.distance_split is not None and self.step == INFINITE_STEP:
             raise ConfigurationError("a distance split on an infinite step has no effect")
 
@@ -118,10 +119,9 @@ class GroupDivision:
     name: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
+        _check_fields(self, ConfigurationError, groups=_nested(ClassGroup, many=True), window=_integer)
         if not self.groups:
             raise ConfigurationError("a division needs at least one group")
-        _check_fields(self, ConfigurationError, window=_integer)
         if self.window < 1:
             raise ConfigurationError(f"window must be a positive integer, got {self.window!r}")
         if self.default_step is not None:
@@ -130,9 +130,7 @@ class GroupDivision:
         for gi, group in enumerate(self.groups):
             for cid in group.classes:
                 if cid in seen:
-                    raise ConfigurationError(
-                        f"class {cid} appears in groups {seen[cid]} and {gi}"
-                    )
+                    raise ConfigurationError(f"class {cid} appears in groups {seen[cid]} and {gi}")
                 seen[cid] = gi
 
     def with_window(self, window: int) -> "GroupDivision":

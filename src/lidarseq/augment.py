@@ -12,14 +12,13 @@ from __future__ import annotations
 import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
 from .aggregation import AggregatedCloud
 from .errors import ConfigurationError, InvalidInputError, NotAugmentableError
-from .geometry import LabeledCloud, PointCloud, Pose, _from_checked, _seeded_rng, relative_pose
-from .sequence import _frame_reader, _parse_calib, _write_frames, default_camera_calib, reference_frame
+from .geometry import LabeledCloud, PointCloud, _from_checked, _seeded_rng, relative_pose
+from .sequence import _frame_reader, _write_frames, default_camera_calib, reference_frame
 
 DEFAULT_MOTION_THRESHOLD = 0.2  # meters of centroid travel across the track
 SPEED_RANGE = (0.2, 1.0)  # meters per frame-step
@@ -80,10 +79,7 @@ class InstanceTrack:
 
     def translated(self, offsets: np.ndarray) -> "InstanceTrack":
         """New track with part i shifted by offsets[i]."""
-        moved = tuple(
-            PointCloud(part.xyz + offsets[i], part.intensity)
-            for i, part in enumerate(self.parts)
-        )
+        moved = tuple(PointCloud(part.xyz + offset, part.intensity) for part, offset in zip(self.parts, offsets))
         return InstanceTrack(self.instance_id, self.class_id, self.frames, moved)
 
 
@@ -117,6 +113,17 @@ def ring_anchors(center, ring_radius: float = DEFAULT_RING_RADIUS) -> AnchorSet:
     return AnchorSet(positions)
 
 
+def _track(instance_id: int, frames, parts, semantic) -> InstanceTrack:
+    """The track of ``parts`` (PointClouds, newest first) at ``frames``, whose rows carry the ids of
+    ``semantic`` (one array per part); its class is the most frequent id, the lowest on ties."""
+    if not parts:
+        raise NotAugmentableError(f"instance {instance_id} is not in the cloud")
+    if len(parts) < 2:
+        raise NotAugmentableError(f"instance {instance_id} appears in a single frame; nothing to switch")
+    ids, freq = np.unique(np.concatenate(semantic), return_counts=True)
+    return InstanceTrack(int(instance_id), int(ids[np.argmax(freq)]), tuple(map(int, frames)), tuple(parts))
+
+
 def extract_track(agg: AggregatedCloud, instance_id: int) -> InstanceTrack:
     """Crop one instance's temporal parts out of an aggregated cloud.
 
@@ -125,21 +132,12 @@ def extract_track(agg: AggregatedCloud, instance_id: int) -> InstanceTrack:
     no temporal structure to rewrite.
     """
     rows = np.flatnonzero(agg.labeled.instance == instance_id)
-    if rows.shape[0] == 0:
-        raise NotAugmentableError(f"instance {instance_id} is not in the cloud")
     source = agg.source_frame[rows]
-    frames_present = np.unique(source)
-    if frames_present.shape[0] < 2:
-        raise NotAugmentableError(
-            f"instance {instance_id} appears in a single frame; nothing to switch"
-        )
-    semantic = agg.labeled.semantic[rows]
-    ids, freq = np.unique(semantic, return_counts=True)
-    class_id = int(ids[np.argmax(freq)])
+    frames = np.unique(source)[::-1]
+    picks = [rows[source == frame] for frame in frames]
     cloud = agg.labeled.cloud
-    picks = [rows[source == frame] for frame in frames_present[::-1]]
-    parts = tuple(PointCloud(np.take(cloud.xyz.T, pick, axis=1).T, cloud.intensity[pick]) for pick in picks)
-    return InstanceTrack(int(instance_id), class_id, tuple(int(f) for f in frames_present[::-1]), parts)
+    parts = [PointCloud(np.take(cloud.xyz.T, pick, axis=1).T, cloud.intensity[pick]) for pick in picks]
+    return _track(instance_id, frames, parts, [agg.labeled.semantic[pick] for pick in picks])
 
 
 def _max_centroid_spread(track: InstanceTrack) -> float:
@@ -224,10 +222,16 @@ def static_to_moving(track: InstanceTrack, scene, anchors: AnchorSet, seed: int 
     return _static_to_moving(track, anchors, lambda: _anchor_coverage(anchors, scene), seed, threshold)
 
 
-def _remap_class(class_id: int, table: Mapping[int, int], direction: str) -> int:
-    if class_id not in table:
-        raise ConfigurationError(f"no {direction} counterpart configured for class {class_id}")
-    return table[class_id]
+def _switched_classes(semantic: np.ndarray, old_state: str, new_state: str) -> np.ndarray:
+    """``semantic`` with each id crossed to its paired static/moving class id of
+    ``DEFAULT_CLASS_PAIRS`` when the motion state flips, as given when it does not."""
+    if old_state == new_state:
+        return semantic
+    table = DEFAULT_CLASS_PAIRS if new_state == MOVING else {m: s for s, m in DEFAULT_CLASS_PAIRS.items()}
+    for class_id in np.unique(semantic):
+        if class_id not in table:
+            raise ConfigurationError(f"no {new_state} counterpart configured for class {class_id}")
+    return np.vectorize(table.get, otypes=[semantic.dtype])(semantic)
 
 
 def apply_switch(agg: AggregatedCloud, track_old: InstanceTrack, track_new: InstanceTrack,
@@ -244,8 +248,7 @@ def apply_switch(agg: AggregatedCloud, track_old: InstanceTrack, track_new: Inst
     if any(a.count != b.count for a, b in zip(track_old.parts, track_new.parts)):
         raise InvalidInputError("old and new tracks disagree on part sizes")
 
-    old_state = classify_motion(track_old, threshold)
-    new_state = classify_motion(track_new, threshold)
+    states = classify_motion(track_old, threshold), classify_motion(track_new, threshold)
     xyz = agg.labeled.cloud.xyz.copy(order="K")  # stays column-stored
     semantic = agg.labeled.semantic.copy()
     rows = np.flatnonzero(agg.labeled.instance == track_old.instance_id)
@@ -254,17 +257,9 @@ def apply_switch(agg: AggregatedCloud, track_old: InstanceTrack, track_new: Inst
     for frame, old_part, new_part in zip(track_old.frames, track_old.parts, track_new.parts):
         pick = rows[source == frame]
         if pick.shape[0] != old_part.count or not np.array_equal(xyz[pick], old_part.xyz):
-            raise InvalidInputError(
-                f"track part at frame {frame} does not match the aggregated cloud"
-            )
+            raise InvalidInputError(f"track part at frame {frame} does not match the aggregated cloud")
         xyz[pick] = new_part.xyz
-        if old_state != new_state:
-            table = DEFAULT_CLASS_PAIRS
-            if new_state == STATIC:
-                table = {moving: static for static, moving in table.items()}
-            ids = np.unique(semantic[pick])
-            remap = {int(c): _remap_class(int(c), table, new_state) for c in ids}
-            semantic[pick] = np.vectorize(remap.get, otypes=[np.int64])(semantic[pick])
+        semantic[pick] = _switched_classes(semantic[pick], *states)
 
     cloud = _from_checked(PointCloud, xyz, agg.labeled.cloud.intensity)
     labeled = _from_checked(LabeledCloud, cloud, semantic, agg.labeled.instance)
@@ -281,16 +276,17 @@ def switch_sequence(seq_dir, out_dir, instance: int, switch: str, frame: int | N
     and the frame count.
 
     Frames are decoded one at a time. Pass 1 walks t down to frame 0, as aggregate_direct orders its
-    parts, and keeps the instance's rows moved into frame t and, for static-to-moving, the sum of each
-    frame's ``_anchor_coverage`` (frames walked before the newest part are decoded again for it); then it
-    decodes the frames after t, so that a broken one is reported before any file is written.
+    parts, and keeps the instance's rows once per frame, moved into frame t: the track's parts, as
+    ``extract_track`` cuts them. For static-to-moving it also adds up each frame's ``_anchor_coverage``
+    (frames walked before the newest part are decoded again for it). Then it decodes the frames after t,
+    so that a broken one is reported before any file is written. The parts are switched as one track,
+    and pass 2 writes each tracked frame from its own switched part, beside the Tr read with the frames.
     """
     if switch not in SWITCHES:
         raise InvalidInputError(f"switch must be one of {', '.join(SWITCHES)}, got {switch!r}")
-    count, read = _frame_reader(seq_dir)
+    count, read, tr = _frame_reader(seq_dir)
     t = reference_frame(seq_dir, frame, count)
-    columns = [(np.empty((0, 3)), np.empty(0), *np.empty((3, 0), np.int64))]
-    poses, coverage, anchors = {}, 0, None
+    frames, parts, labels, poses, coverage, anchors = [], [], [], {}, 0, None
 
     def moved(sweep, rows=slice(None)):  # into frame t's coordinates, as aggregate_direct moves them
         xyz = sweep.labeled.cloud.xyz[rows]
@@ -301,28 +297,27 @@ def switch_sequence(seq_dir, out_dir, instance: int, switch: str, frame: int | N
         labeled, rows = sweep.labeled, np.flatnonzero(sweep.labeled.instance == instance)
         if index == t or rows.size:
             poses[index] = sweep.pose
-        if rows.size:
-            columns.append((moved(sweep, rows), labeled.cloud.intensity[rows], labeled.semantic[rows],
-                            labeled.instance[rows], np.full(rows.size, index)))
+        if rows.size:  # in float64, as aggregate_direct's cloud holds them
+            frames.append(index)
+            parts.append(PointCloud(np.asarray(moved(sweep, rows), np.float64),
+                                    labeled.cloud.intensity[rows].astype(np.float64)))
+            labels.append(labeled.semantic[rows])
         if switch == "static-to-moving":
-            if anchors is None and rows.size:  # the newest part's centroid as InstanceTrack takes it, in float64
-                anchors = ring_anchors(np.ascontiguousarray(columns[-1][0], np.float64).mean(axis=0), ring_radius)
+            if anchors is None and rows.size:  # the newest part's centroid, as InstanceTrack takes it
+                anchors = ring_anchors(np.ascontiguousarray(parts[0].xyz).mean(axis=0), ring_radius)
                 coverage = sum(_anchor_coverage(anchors, moved(read(newer))) for newer in range(t, index, -1))
             if anchors is not None:
                 coverage += _anchor_coverage(anchors, moved(sweep))
     for index in range(t + 1, count):
         read(index)
 
-    xyz, intensity, semantic, instances, source = map(np.concatenate, zip(*columns))
-    tracked = AggregatedCloud(LabeledCloud(PointCloud(xyz, intensity), semantic, instances), source, source != t, t)
-    track = extract_track(tracked, instance)
-    switched_track = (moving_to_static(track, threshold) if switch == "moving-to-static"
-                      else _static_to_moving(track, anchors, lambda: coverage, seed, threshold))
-    switched = apply_switch(tracked, track, switched_track, threshold=threshold)
+    track = _track(instance, frames, parts, labels)
+    switched = (moving_to_static(track, threshold) if switch == "moving-to-static"
+                else _static_to_moving(track, anchors, lambda: coverage, seed, threshold))
+    states = classify_motion(track, threshold), classify_motion(switched, threshold)
     # each tracked frame's new instance rows, moved back here: a helper thread of pass 2 calls no Pose.apply
-    rewritten = {index: (relative_pose(poses[index], poses[t]).apply(part.xyz),
-                         switched.labeled.semantic[switched.source_frame == index])
-                 for index, part in zip(track.frames, switched_track.parts)}
+    rewritten = {index: (relative_pose(poses[index], poses[t]).apply(part.xyz), _switched_classes(ids, *states))
+                 for index, part, ids in zip(frames, switched.parts, labels)}
 
     def frame_at(slot):  # a frame's rows keep its own point order, so the instance rows align
         sweep = read(slot)
@@ -337,9 +332,8 @@ def switch_sequence(seq_dir, out_dir, instance: int, switch: str, frame: int | N
     source_dir, out_dir = Path(seq_dir), Path(out_dir)
     # poses.txt rows beside the source's Tr, then its calib.txt and images: file indices stay the same
     calib_text = (source_dir / "calib.txt").read_bytes()
-    tr = Pose(_parse_calib(source_dir / "calib.txt")["Tr"])
     _write_frames(out_dir, count, frame_at, replace(default_camera_calib(), extrinsic=tr))
     (out_dir / "calib.txt").write_bytes(calib_text)
     if (source_dir / "image_2").is_dir() and out_dir.resolve() != source_dir.resolve():
         shutil.copytree(source_dir / "image_2", out_dir / "image_2", dirs_exist_ok=True)
-    return classify_motion(track, threshold), classify_motion(switched_track, threshold), count
+    return (*states, count)

@@ -84,6 +84,15 @@ def _class_fractions(value) -> dict[int, float]:
     return {_label_id(cid): _number(fraction) for cid, fraction in value.items()}
 
 
+def _nested(kind, many: bool = False):
+    """The rule of a nested spec field: a ``kind``, or with ``many`` a list of them, kept as a tuple."""
+    def rule(value):
+        if all(isinstance(item, kind) for item in (_list(value) if many else [value])):
+            return tuple(value) if many else value
+        raise TypeError(f"must be {'a list of ' if many else ''}{kind.__name__}, got {value!r}")
+    return rule
+
+
 def _check_fields(spec, error, **rules) -> None:
     """Each named field of a dataclass, however it was built, through its rule,
     the one a config file's key of that name follows; the field keeps the value
@@ -242,7 +251,7 @@ def load_sequence(
     names the frames one by one. Frames come back by ascending index, each
     once. Passing neither loads every frame listed in poses.txt.
     """
-    count, read = _frame_reader(seq_dir)
+    count, read, _ = _frame_reader(seq_dir)
     if indices is not None:
         if window is not None:
             raise InvalidInputError("pass a window or frame indices, not both")
@@ -264,9 +273,10 @@ def load_sequence(
     return [read(idx) for idx in wanted]
 
 
-def _frame_reader(seq_dir) -> tuple[int, Callable[[int], SequenceFrame]]:
+def _frame_reader(seq_dir) -> tuple[int, Callable[[int], SequenceFrame], Pose]:
     """The frame count of a sequence directory, whose poses.txt, calib.txt and times.txt are
-    parsed here, once; and ``read(idx)``, which decodes frame idx with numpy, constructors and compose."""
+    parsed here, once; ``read(idx)``, which decodes frame idx with numpy, constructors and compose;
+    and calib.txt's Tr."""
     seq_dir = Path(seq_dir)
     pose_rows = _parse_poses(seq_dir / "poses.txt")
     tr = _pose(_parse_calib(seq_dir / "calib.txt")["Tr"], f"{seq_dir / 'calib.txt'}: Tr")
@@ -293,7 +303,7 @@ def _frame_reader(seq_dir) -> tuple[int, Callable[[int], SequenceFrame]]:
         return SequenceFrame(index=idx, labeled=LabeledCloud(cloud, semantic, instance), pose=pose, timestamp=stamp,
                              file_pose=row)
 
-    return count, read
+    return count, read, tr
 
 
 def _pose(row: np.ndarray, where: str) -> Pose:
@@ -456,7 +466,8 @@ class SyntheticSceneSpec:
 
     def __post_init__(self):
         _check_fields(self, InvalidSpecError, frame_count=_integer, points_per_frame=_integer, seed=_integer,
-                      extent=_number, classes=_class_fractions)
+                      extent=_number, classes=_class_fractions, instances=_nested(InstanceSpec, many=True),
+                      ego=_nested(EgoSpec), camera=_nested(CameraSpec))
         if self.frame_count < 1:
             raise InvalidSpecError("frame_count must be >= 1")
         if self.seed < 0:
@@ -479,9 +490,7 @@ class SyntheticSceneSpec:
             if inst.points < 1:
                 raise InvalidSpecError("instances need at least one point")
             if inst.class_id not in self.classes:
-                raise InvalidSpecError(
-                    f"instance class {inst.class_id} missing from histogram"
-                )
+                raise InvalidSpecError(f"instance class {inst.class_id} missing from histogram")
             used[inst.class_id] = used.get(inst.class_id, 0) + inst.points
             if inst.instance_id is not None:
                 if inst.instance_id in seen_ids or inst.instance_id == 0:
@@ -489,10 +498,8 @@ class SyntheticSceneSpec:
                 seen_ids.add(inst.instance_id)
         for cid, n_used in used.items():
             if n_used > quotas[cid]:
-                raise InvalidSpecError(
-                    f"class {cid}: instances need {n_used} points but the "
-                    f"histogram allots {quotas[cid]}"
-                )
+                raise InvalidSpecError(f"class {cid}: instances need {n_used} points but the histogram allots "
+                                       f"{quotas[cid]}")
 
 
 def class_point_quotas(classes: Mapping[int, float], total: int) -> dict[int, int]:

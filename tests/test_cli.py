@@ -5,15 +5,19 @@ import dataclasses
 import json
 import math
 import shutil
+import tempfile
 import threading
 import tracemalloc
 import weakref
 import zipfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lidarseq import augment, cli, imaging
 from lidarseq import sequence as seqio
@@ -29,12 +33,14 @@ from lidarseq.aggregation import (
 from lidarseq.augment import (
     DEFAULT_MOTION_THRESHOLD,
     DEFAULT_RING_RADIUS,
+    SWITCHES,
     apply_switch,
     classify_motion,
     extract_track,
     moving_to_static,
     ring_anchors,
     static_to_moving,
+    switch_sequence,
 )
 from lidarseq.cli import main
 from lidarseq.errors import ConfigurationError, FormatError, InvalidSpecError
@@ -587,7 +593,8 @@ def _augment_scene(tmp_path, name, frames=6, points=500, velocity=(2.0, 0.0, 0.0
 
 def _augment_whole_sequence(source, out, switch, t=None, seed=0):
     """What augment wrote when it aggregated the whole sequence at t (the
-    command's code before it streamed), for instance 5 and default settings."""
+    command's code before it streamed), for instance 5 and default settings;
+    returns the track it switched."""
     frames = load_sequence(source)
     t = frames[-1].index if t is None else t
     agg = aggregate_direct(frames, t, t)
@@ -612,6 +619,7 @@ def _augment_whole_sequence(source, out, switch, t=None, seed=0):
     write_sequence(out, written, dataclasses.replace(seqio.default_camera_calib(), extrinsic=tr))
     (out / "calib.txt").write_bytes((source / "calib.txt").read_bytes())
     shutil.copytree(source / "image_2", out / "image_2")
+    return track
 
 
 def _tree(root):
@@ -682,8 +690,8 @@ class TestAugmentStreams:
         frame_reader = augment._frame_reader
 
         def widening_reader(seq_dir):  # the frames as float64 and int64 twins
-            count, read = frame_reader(seq_dir)
-            return count, lambda index: widened(read(index))
+            count, read, tr = frame_reader(seq_dir)
+            return count, lambda index: widened(read(index)), tr
 
         monkeypatch.setattr(augment, "_frame_reader", widening_reader)
         assert main([*argv, "--out", str(tmp_path / "wide")]) == 0
@@ -723,6 +731,69 @@ class TestAugmentStreams:
         small, large = peak(16), peak(64)
         frame_coords = points * 3 * 8
         assert large < small + 2 * frame_coords, (small, large)
+
+
+class TestAugmentTrack:
+    """augment switches the instance's rows of each frame, kept once, as one
+    track: the one extract_track cuts out of the whole-sequence aggregate."""
+
+    @pytest.mark.parametrize("switch, velocity", [("moving-to-static", (3.0, 0.0, 0.0)),
+                                                  ("static-to-moving", (0.0, 0.0, 0.0))])
+    def test_peak_memory_grows_by_at_most_100_bytes_per_track_row(self, tmp_path, switch, velocity):
+        # a memory bound, not a timing: two scenes that differ only in the instance's size; a track
+        # row held as float64 coordinates once, switched once and moved back once is 72 bytes
+        frames, points = 64, 20_000
+
+        def peak(instance_points: int, frame_count: int = frames) -> int:
+            seq = _augment_scene(tmp_path, f"seq{instance_points}", frame_count, points, velocity,
+                                 instance_points=instance_points)
+            tracemalloc.start()
+            try:
+                switch_sequence(seq, tmp_path / f"out{instance_points}", 5, switch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8, 2)  # warm-up: the first call's imports and caches are not track rows
+        small, large = peak(500), peak(4_000)
+        assert (large - small) / ((4_000 - 500) * frames) <= 100, (small, large)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(frames=st.integers(2, 12), points=st.integers(40, 300), switch=st.sampled_from(SWITCHES),
+           speed=st.floats(2.5, 6.0), t_draw=st.integers(0, 10), without=st.sets(st.integers(0, 11)),
+           seed=st.integers(0, 2**16), mixed=st.booleans())
+    # two parts, the newest relabelled: the rows carry 13 and 10 (or 257 and 252) equally often
+    @example(frames=3, points=100, switch="static-to-moving", speed=3.0, t_draw=0, without=set(), seed=5, mixed=True)
+    @example(frames=3, points=100, switch="moving-to-static", speed=3.0, t_draw=0, without=set(), seed=0, mixed=True)
+    def test_drawn_scenes_give_the_whole_sequence_path_output(self, frames, points, switch, speed, t_draw,
+                                                              without, seed, mixed):
+        t = 1 + t_draw % (frames - 1)
+        without = {k for k in without if k < frames}
+        present = [k for k in range(t, -1, -1) if k not in without]
+        assume(len(present) >= 2)  # a single part is not augmentable on either path
+        velocity = (speed, 0.0, 0.0) if switch == "moving-to-static" else (0.0, 0.0, 0.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            seq = _augment_scene(root, "seq", frames, points, velocity, sorted(without))
+            base, paired = (252, 257) if any(velocity) else (10, 13)
+            for index in present[::2] if mixed else ():  # every other part from the newest takes a second class
+                label = seq / "labels" / f"{index:06d}.label"
+                packed = np.frombuffer(label.read_bytes(), dtype="<u4").copy()
+                packed[packed >> 16 == 5] = 5 << 16 | paired
+                label.write_bytes(packed.tobytes())
+            name = "moving_to_static" if switch == "moving-to-static" else "_static_to_moving"
+            with mock.patch.object(augment, name, wraps=getattr(augment, name)) as switched:
+                assert main(["augment", "--sequence", str(seq), "--instance", "5", "--switch", switch,
+                             "--frame", str(t), "--seed", str(seed), "--out", str(root / "got")]) == 0
+            want = _augment_whole_sequence(seq, root / "want", switch, t=t, seed=seed)
+            got = switched.call_args.args[0]
+            # the most frequent class, the lower id on a tie
+            assert got.class_id == want.class_id == (paired if mixed and len(present) % 2 else base)
+            assert got.frames == want.frames == tuple(present)
+            for got_part, want_part in zip(got.parts, want.parts, strict=True):
+                assert got_part.xyz.dtype == np.float64 and np.array_equal(got_part.xyz, want_part.xyz)
+                assert np.array_equal(got_part.intensity, want_part.intensity)
+            assert _tree(root / "got") == _tree(root / "want")
 
 
 class TestAugment:

@@ -3,8 +3,9 @@
 Every import sits at module level, so a module's dependencies show at its
 top; ``yaml`` is the one exception, imported only when a config file is
 read. The package-internal ``from .x import`` graph has no cycle, one
-runner starts every thread, no config reader holds a value rule of its own,
-and the CLI's start-up imports no thread pool or logging. The parameter
+runner starts every thread, calib.txt has one parser called from two places,
+no config reader holds a value rule of its own, and the CLI's start-up
+imports no thread pool or logging. The parameter
 names of every callable the package root exports are pinned.
 """
 
@@ -158,16 +159,32 @@ def test_a_cycle_is_found():
     assert _find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
 
 
-def test_one_thread_runner_makes_every_thread():
-    # geometry._on_two_threads is the one place a thread is started
-    sites = [
+def _call_sites(trees: dict[str, ast.Module], callee: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of each call of ``callee``, by name or as an attribute."""
+    return [
         (name, function)
-        for name, tree in _modules().items()
+        for name, tree in trees.items()
         for function, node in _nodes(tree, ast.Call)
         if isinstance(node.func, (ast.Attribute, ast.Name))
-        and (node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id) == "Thread"
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id) == callee
     ]
-    assert sites == [("geometry", "_on_two_threads")]
+
+
+def test_one_thread_runner_makes_every_thread():
+    # geometry._on_two_threads is the one place a thread is started
+    assert _call_sites(_modules(), "Thread") == [("geometry", "_on_two_threads")]
+
+
+def test_calib_txt_is_parsed_by_the_frame_reader_and_the_camera_loader_only():
+    # a command that reads frames takes Tr from the frame reader, and only lift reads the camera,
+    # so no command parses calib.txt twice
+    assert sorted(_call_sites(_modules(), "_parse_calib")) == [("imaging", "load_camera_calib"),
+                                                                ("sequence", "_frame_reader")]
+
+
+def test_a_second_calib_parse_is_found():
+    tree = ast.parse("def switch_sequence(d):\n    return Pose(sequence._parse_calib(d / 'calib.txt')['Tr'])")
+    assert _call_sites({"augment": tree}, "_parse_calib") == [("augment", "switch_sequence")]
 
 
 VALUE_RULES = {"_integer", "_number", "_vector", "_label_id", "_class_fractions"}

@@ -86,6 +86,47 @@ BAD_VALUES = [
 ]
 
 
+# nested fields: (dataclass, field, bad value, the type rule's message, the file
+# reader's). A file's reader builds the nested specs from mappings and lists, so
+# it reports the structure it expected; the dataclass names the field and type.
+BAD_NESTED = [
+    (SyntheticSceneSpec, "ego", 5, "ego must be EgoSpec, got 5", "expected a mapping of ego keys, got 5"),
+    (SyntheticSceneSpec, "camera", "x", "camera must be CameraSpec, got 'x'",
+     "expected a mapping of camera keys, got 'x'"),
+    (SyntheticSceneSpec, "instances", (5,), "instances must be a list of InstanceSpec, got (5,)",
+     "instance 0: expected a mapping of instance keys, got 5"),
+    (SyntheticSceneSpec, "instances", 5, "instances must be a list, got 5", "instances must be a list, got 5"),
+    (ClassGroup, "distance_split", 5, "distance_split must be DistanceSplit, got 5",
+     "expected a mapping of distance_split keys, got 5"),
+    (GroupDivision, "groups", (5,), "groups must be a list of ClassGroup, got (5,)",
+     "group 0: expected a mapping of group keys, got 5"),
+    (GroupDivision, "groups", 5, "groups must be a list, got 5", "expected a 'groups' list, got 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec_type, key, value, message, file_message", BAD_NESTED,
+    ids=[f"{case[0].__name__}.{case[1]}-{case[2]!r}" for case in BAD_NESTED],
+)
+def test_a_nested_field_of_the_wrong_type_names_the_field(tmp_path, spec_type, key, value, message, file_message):
+    error, build, mapping, load, nesting = PLACES[spec_type]
+    with pytest.raises(error) as info:
+        build({key: value})
+    assert type(info.value) is error and str(info.value) == message
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(mapping({key: list(value) if isinstance(value, tuple) else value})))
+    with pytest.raises(error) as info:
+        load(path)
+    assert type(info.value) is error and str(info.value) == f"{path}: {nesting}{file_message}"
+
+
+def test_nested_fields_keep_their_specs_and_lists_become_tuples():
+    group = ClassGroup(frozenset({1}), 2, distance_split=DistanceSplit(5.0))
+    assert GroupDivision([group]).groups == (group,)
+    spec = SyntheticSceneSpec(2, 10, {1: 1.0}, instances=[InstanceSpec(1, 2, (0, 0, 0))], ego=EgoSpec())
+    assert spec.instances == (InstanceSpec(1, 2, (0, 0, 0)),) and spec.camera == CameraSpec()
+
+
 def test_the_table_covers_every_dataclass():
     assert {case[0] for case in BAD_VALUES} == set(PLACES)
 
